@@ -38,7 +38,6 @@ from pressim.sim import (
     SimConfig,
     Simulation,
     Vehicle,
-    VehicleStatus,
 )
 
 # -- metrics ----------------------------------------------------------------

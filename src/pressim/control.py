@@ -6,6 +6,11 @@ pressure-based controllers pick the argmax of a per-phase score computed
 from the live queue state; ties go to the lowest phase index so decisions
 are deterministic. An argmax is taken even when every score is negative:
 some phase runs regardless, so pick the least bad.
+
+The controllers read their scores through ``pressure.phase_scores``, which
+returns phase i's score at position i; phase ids are their positions, as
+the engine assumes too. ``mp_decide`` and ``efficient_mp_decide`` take the
+same decisions from a full ``PressureReport``.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from enum import Enum
 from typing import Optional, Sequence
 
 from pressim.network import Phase, PhaseScheme, RoadNetwork
-from pressim.pressure import PressureReport, pressure_report
+from pressim.pressure import PressureReport, phase_scores
 from pressim.sim import ConfigurationError, SimState
 
 
@@ -101,23 +106,23 @@ class FixedTimeController(Controller):
 
 
 class MaxPressureController(Controller):
+    """Phase with maximum phase pressure."""
+
     def observe(self, state: SimState, net: RoadNetwork, intersection: str):
-        inter = net.intersection_index[intersection]
-        return (pressure_report(state, net, intersection), inter.phases)
+        return phase_scores(state, net, intersection)
 
     def decide(self, observation, intersection: str) -> int:
-        report, phases = observation
-        return mp_decide(report, phases)
+        return _argmax_lowest(observation)
 
 
 class EfficientMaxPressureController(Controller):
+    """Phase with maximum phase efficient pressure."""
+
     def observe(self, state: SimState, net: RoadNetwork, intersection: str):
-        inter = net.intersection_index[intersection]
-        return (pressure_report(state, net, intersection), inter.phases)
+        return phase_scores(state, net, intersection, efficient=True)
 
     def decide(self, observation, intersection: str) -> int:
-        report, phases = observation
-        return efficient_mp_decide(report, phases)
+        return _argmax_lowest(observation)
 
 
 CLASSICAL_CONTROLLERS = {

@@ -11,19 +11,22 @@ Downstream queues are read at the receiving road's stop line, the queue a
 crossing vehicle actually joins; roads draining to a boundary read 0.
 
 Everything here is a pure function over a state snapshot and is safe to
-evaluate concurrently across intersections.
+evaluate concurrently across intersections. The per-movement functions are
+the readable reference; ``phase_scores`` is the fast path controllers poll,
+over lane tuples resolved once per network, and returns the same values.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from enum import Enum
 from statistics import fmean
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from pressim.network import Intersection, Phase, RoadNetwork, TrafficMovement, Turn
+from pressim.network import Intersection, Phase, RoadNetwork, TrafficMovement
 from pressim.sim import ConfigurationError, SimState
 
 
@@ -185,6 +188,81 @@ def pressure_report(state: SimState, net: RoadNetwork, intersection: str) -> Pre
         ),
         intersection_pressure=intersection_pressure(state, net, intersection),
     )
+
+
+# -- phase scores from lane tuples resolved once per network ----------------
+
+
+@dataclass(frozen=True)
+class _PhaseLanes:
+    """The lanes one intersection's phase scores read.
+
+    ``movements`` holds, for each movement some phase serves: its entering
+    lanes, the downstream lanes paired with them, its downstream lanes
+    (boundary sinks dropped from both, as they read 0), and its count of
+    exiting lanes. ``phases`` indexes the two movements of each phase.
+    """
+
+    movements: tuple[tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...], int], ...]
+    phases: tuple[tuple[int, int], ...]
+
+
+# Derived from networks, which are immutable, and held weakly: an entry
+# lives as long as its network.
+_PHASE_LANES: weakref.WeakKeyDictionary[RoadNetwork, dict[str, _PhaseLanes]] = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def _resolve_phase_lanes(net: RoadNetwork, inter: Intersection) -> _PhaseLanes:
+    def read(lanes) -> tuple[str, ...]:
+        return tuple(t for t in (net.downstream[l] for l in lanes) if t is not None)
+
+    served = list(dict.fromkeys(mid for p in inter.phases for mid in p.movements))
+    movements = []
+    for mid in served:
+        m = net.movement_index[mid]
+        paired = read(_paired_exit_lane(net, m, l) for l in m.entering)
+        movements.append((m.entering, paired, read(m.exiting), len(m.exiting)))
+    phases = tuple(tuple(served.index(mid) for mid in p.movements) for p in inter.phases)
+    return _PhaseLanes(tuple(movements), phases)
+
+
+def _phase_lanes(net: RoadNetwork, intersection: str) -> _PhaseLanes:
+    tables = _PHASE_LANES.get(net)
+    if tables is None:
+        tables = {i.id: _resolve_phase_lanes(net, i) for i in net.intersections}
+        _PHASE_LANES[net] = tables
+    try:
+        return tables[intersection]
+    except KeyError:
+        raise ConfigurationError(f"unknown intersection {intersection!r}") from None
+
+
+def phase_scores(
+    state: SimState, net: RoadNetwork, intersection: str, efficient: bool = False
+) -> tuple:
+    """Per-phase pressures, or efficient pressures with ``efficient``.
+
+    Equal, value for value, to ``pressure_report``'s ``phase_pressures`` and
+    ``phase_efficient_pressures``. An efficient pressure is summed exactly
+    as the reference sums it: ``sum / n`` of integer queues equals their
+    ``fmean``, then entering minus exiting, then movement a plus b.
+    """
+    lanes = _phase_lanes(net, intersection)
+    queue = state.queues.__getitem__  # sum(map(len, map(queue, ls))): total queue
+    if efficient:
+        score = [
+            sum(map(len, map(queue, entering))) / len(entering)
+            - sum(map(len, map(queue, down))) / n_exiting
+            for entering, _, down, n_exiting in lanes.movements
+        ]
+    else:
+        score = [
+            sum(map(len, map(queue, entering))) - sum(map(len, map(queue, paired)))
+            for entering, paired, _, _ in lanes.movements
+        ]
+    return tuple(score[a] + score[b] for a, b in lanes.phases)
 
 
 REPORT_HEADER = ("tick", "intersection", "phase", "p_s", "ep_s", "P_i")

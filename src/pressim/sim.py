@@ -16,22 +16,45 @@ Unsignalized right turns discharge in every phase and during transitions.
 
 The engine draws no random numbers: identical inputs give identical
 trajectories tick for tick.
+
+Everything static is resolved once per ``Simulation``, and the tick loop
+runs over these tables instead of the network's lookup dicts:
+
+- a hop plan per flow: for each route position, the stop-line lanes
+  designated for the vehicle's next turn (``None`` on the last road, which
+  drains to a boundary). Every vehicle points at its flow's plan;
+- per intersection, the movements each phase serves and those a
+  transition serves (the right turns), in movement order, because that
+  order decides which movement wins a contested downstream lane;
+- a release schedule: for each tick index, the flows that release a
+  vehicle on that tick, in flow order, because vehicle ids follow it. It
+  is built in blocks as the clock runs, from the same accumulated clock
+  that ``step`` advances.
+
+Besides two integer counters (the tick index and the next vehicle id), the
+dynamic state lives in ``state`` and in the movement credits (``_credit``)
+alone. A shallow copy of a ``Simulation`` with those two copied deeply is
+therefore an independent fork; it shares the tables above.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Deque, Mapping, Optional, Protocol
+from typing import Deque, Mapping, Optional, Protocol, Sequence
 
-from pressim.network import RoadNetwork, Turn
+import numpy as np
+
+from pressim.network import RoadNetwork
 
 _EPS = 1e-9
+_RELEASE_BLOCK = 4096  # most ticks of release schedule built at once
 
 
 class ConfigurationError(ValueError):
@@ -82,7 +105,7 @@ class VehicleStatus(Enum):
     FINISHED = "finished"
 
 
-@dataclass
+@dataclass(slots=True)
 class Vehicle:
     id: int
     route: tuple[str, ...]
@@ -90,7 +113,8 @@ class Vehicle:
     entry_time: float
     exit_time: Optional[float] = None
     status: VehicleStatus = VehicleStatus.IN_TRANSIT
-    lane: Optional[str] = None
+    # the flow's hop plan: stop-line lane candidates per route position
+    plan: tuple[Optional[tuple[str, ...]], ...] = ()
 
 
 class TransitionStage(Enum):
@@ -148,13 +172,84 @@ class Controller(Protocol):
     def decide(self, observation: object, intersection: str) -> int: ...
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _MovementMeta:
     id: str
-    signalized: bool
     entering: tuple[str, ...]
     receiving_road: str
     receiving_terminal: bool
+    receiving_capacity: int  # queue capacity of each receiving lane
+    receiving_travel_time: float
+
+
+def release_schedule(
+    flows: Sequence[FlowSpec], tick: float, clock: float, ticks: int
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Flows releasing a vehicle on each of the next ``ticks`` ticks.
+
+    The clock is accumulated tick by tick from ``clock``, exactly as
+    ``Simulation.step`` accumulates it, and a flow releases on a tick when
+    that clock lies in [start_s, end_s] and start_s plus a whole number of
+    headways, each within 1e-9 s.
+
+    Returns the indices of the flows due, grouped by tick and ascending
+    within a tick; the offsets that bound the group of the ``i + 1``-th
+    tick as ``due[offsets[i]:offsets[i + 1]]``; and the clock after the
+    last tick.
+    """
+    clocks = np.fromiter(
+        itertools.accumulate(itertools.repeat(tick, ticks), initial=clock),
+        dtype=np.float64,
+        count=ticks + 1,
+    )[1:]
+    hits = []
+    for flow in flows:
+        lo = np.searchsorted(clocks, flow.start_s - _EPS, side="left")
+        hi = np.searchsorted(clocks, flow.end_s + _EPS, side="right")
+        # numpy's float remainder takes the divisor's sign, like Python's %
+        rem = np.remainder(clocks[lo:hi] - flow.start_s, flow.headway_s)
+        hits.append(lo + np.flatnonzero((rem <= _EPS) | (flow.headway_s - rem <= _EPS)))
+    tick_of = np.concatenate(hits) if hits else np.zeros(0, dtype=np.intp)
+    flow_of = np.repeat(np.arange(len(flows), dtype=np.int32), [len(h) for h in hits])
+    due = flow_of[np.argsort(tick_of, kind="stable")]  # stable: flow order within a tick
+    offsets = np.zeros(ticks + 1, dtype=np.intp)
+    np.cumsum(np.bincount(tick_of, minlength=ticks), out=offsets[1:])
+    return due, offsets, float(clocks[-1])
+
+
+class _ReleaseSchedule:
+    """``release_schedule`` over an open-ended run, in blocks of ticks.
+
+    Only the two blocks built last are kept; an older one is rebuilt from
+    the clock it starts at. Forked simulations may share one
+    schedule, since its content depends only on the flows and the tick.
+    """
+
+    def __init__(self, flows: Sequence[FlowSpec], tick: float, block: int):
+        self.flows = flows
+        self.tick = tick
+        self.block = block
+        self.starts = [0.0]  # the clock before each block's first tick
+        self.recent: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def at(self, n: int) -> list[int]:
+        """Indices of the flows releasing on tick ``n`` (the first tick is 1).
+
+        Ticks are asked for in order by each simulation, so block ``b`` is
+        first asked for after block ``b - 1`` recorded where it ends.
+        """
+        b, i = divmod(n - 1, self.block)
+        if b not in self.recent:
+            due, offsets, end = release_schedule(
+                self.flows, self.tick, self.starts[b], self.block
+            )
+            if b + 1 == len(self.starts):
+                self.starts.append(end)
+            if len(self.recent) == 2:
+                del self.recent[next(iter(self.recent))]
+            self.recent[b] = (due, offsets)
+        due, offsets = self.recent[b]
+        return due[offsets[i] : offsets[i + 1]].tolist()
 
 
 class Simulation:
@@ -174,18 +269,21 @@ class Simulation:
         if problems:
             raise ConfigurationError("; ".join(problems))
 
-        self._travel_time = {r.id: r.travel_time for r in net.roads}
-        self._capacity = {
+        capacity = {
             r.id: config.lane_capacity
             if config.lane_capacity is not None
             else max(1, math.floor(r.length_m / 7.5))
             for r in net.roads
         }
-        self._terminal = {r.id: net.terminal(r.id) for r in net.roads}
-        self._road_order = tuple(r.id for r in net.roads)
+        # road -> (drains to a boundary, queue capacity of each stop-line lane)
+        self._stop_line = {r.id: (net.terminal(r.id), capacity[r.id]) for r in net.roads}
         self._intersection_ids = [i.id for i in net.intersections]
-        self._movements: dict[str, tuple[_MovementMeta, ...]] = {}
-        self._phase_movements: dict[str, tuple[frozenset[str], ...]] = {}
+        self._phase_count = {i.id: len(i.phases) for i in net.intersections}
+        # per intersection: the movements each phase serves, and those served
+        # during a transition, in movement order
+        self._served: list[
+            tuple[str, tuple[tuple[_MovementMeta, ...], ...], tuple[_MovementMeta, ...]]
+        ] = []
         for inter in net.intersections:
             metas = []
             for m in inter.movements:
@@ -193,21 +291,37 @@ class Simulation:
                 metas.append(
                     _MovementMeta(
                         id=m.id,
-                        signalized=m.signalized,
                         entering=m.entering,
                         receiving_road=recv_road.id,
                         receiving_terminal=net.terminal(recv_road.id),
+                        receiving_capacity=capacity[recv_road.id],
+                        receiving_travel_time=recv_road.travel_time,
                     )
                 )
-            self._movements[inter.id] = tuple(metas)
-            self._phase_movements[inter.id] = tuple(
-                frozenset(p.movements) for p in inter.phases
+            pairs = list(zip(inter.movements, metas))
+            by_phase = tuple(
+                tuple(meta for m, meta in pairs if not m.signalized or m.id in p.movements)
+                for p in inter.phases
             )
-        # entry turn candidates per flow, resolved once
-        self._entry_lanes = [
-            net.lanes_by_turn[(f.route[0], net.turn_between[(f.route[0], f.route[1])])]
+            in_transition = tuple(meta for m, meta in pairs if not m.signalized)
+            self._served.append((inter.id, by_phase, in_transition))
+
+        plans = {f.route: self._hop_plan(f.route) for f in self.flows}
+        # per flow: (entry road, hop plan, entry lane capacity, entry travel time)
+        self._entries = [
+            (
+                f.route[0],
+                plans[f.route],
+                capacity[f.route[0]],
+                net.road_index[f.route[0]].travel_time,
+            )
             for f in self.flows
         ]
+        episode_ticks = math.ceil(config.episode_length / config.tick)
+        self._releases = _ReleaseSchedule(
+            self.flows, config.tick, max(1, min(episode_ticks, _RELEASE_BLOCK))
+        )
+        self._gain = config.tick / config.saturation_headway
 
         self.state = SimState(
             queues={l: deque() for l in net.lane_index},
@@ -215,15 +329,25 @@ class Simulation:
             signals={i: SignalState() for i in self._intersection_ids},
         )
         self._credit: dict[str, float] = {
-            m.id: 0.0 for metas in self._movements.values() for m in metas
+            m.id: 0.0 for i in net.intersections for m in i.movements
         }
+        self._ticks = 0
         self._next_vehicle_id = 0
+
+    def _hop_plan(self, route: tuple[str, ...]) -> tuple[Optional[tuple[str, ...]], ...]:
+        net = self.net
+        hops = [
+            net.lanes_by_turn[(road, net.turn_between[(road, nxt)])]
+            for road, nxt in zip(route, route[1:])
+        ]
+        return (*hops, None)
 
     # -- tick ---------------------------------------------------------------
 
     def step(self, controllers: Mapping[str, Controller]) -> None:
         st = self.state
         st.clock += self.config.tick
+        self._ticks += 1
         self._advance_signals()
         self._spawn(st.clock)
         self._advance_transit()
@@ -261,7 +385,7 @@ class Simulation:
     def set_phase(self, intersection: str, phase: int) -> None:
         """Request a phase; no-op while a transition is underway."""
         sig = self.state.signals[intersection]
-        n_phases = len(self._phase_movements[intersection])
+        n_phases = self._phase_count[intersection]
         if not 0 <= phase < n_phases:
             raise ConfigurationError(
                 f"{intersection}: phase {phase} out of range 0..{n_phases - 1}"
@@ -278,26 +402,24 @@ class Simulation:
 
     def _spawn(self, now: float) -> None:
         st = self.state
-        for fi, flow in enumerate(self.flows):
-            if now < flow.start_s - _EPS or now > flow.end_s + _EPS:
-                continue
-            rem = (now - flow.start_s) % flow.headway_s
-            if rem > _EPS and flow.headway_s - rem > _EPS:
-                continue
-            st.counters.spawned += 1
-            entry_road = flow.route[0]
-            lane = self._pick_lane(self._entry_lanes[fi])
-            if len(st.queues[lane]) >= self._capacity[entry_road]:
-                st.counters.blocked += 1
+        counters, queues = st.counters, st.queues
+        for fi in self._releases.at(self._ticks):
+            road, plan, capacity, travel_time = self._entries[fi]
+            counters.spawned += 1
+            lane = self._pick_lane(plan[0])
+            if len(queues[lane]) >= capacity:
+                counters.blocked += 1
                 continue
             vid = self._next_vehicle_id
             self._next_vehicle_id += 1
             st.vehicles[vid] = Vehicle(
-                id=vid, route=flow.route, route_pos=0, entry_time=now
+                id=vid, route=self.flows[fi].route, route_pos=0, entry_time=now, plan=plan
             )
-            st.transit[entry_road].append((now + self._travel_time[entry_road], vid))
+            st.transit[road].append((now + travel_time, vid))
 
     def _pick_lane(self, candidates: tuple[str, ...]) -> str:
+        """Least-occupied candidate, ties to the first. Hot callers skip the
+        call when there is only one candidate."""
         queues = self.state.queues
         best = candidates[0]
         best_len = len(queues[best])
@@ -312,43 +434,43 @@ class Simulation:
     def _advance_transit(self) -> None:
         st = self.state
         clock = st.clock
-        for road_id in self._road_order:
-            dq = st.transit[road_id]
-            if not dq or dq[0][0] > clock + _EPS:
+        due = clock + _EPS
+        queues, vehicles = st.queues, st.vehicles
+        # roads do not interact here: a road's vehicles join only its own lanes
+        for road_id, dq in st.transit.items():
+            if not dq or dq[0][0] > due:
                 continue
-            terminal = self._terminal[road_id]
-            while dq and dq[0][0] <= clock + _EPS:
-                _, vid = dq[0]
-                v = st.vehicles[vid]
+            terminal, capacity = self._stop_line[road_id]
+            while dq and dq[0][0] <= due:
+                v = vehicles[dq[0][1]]
                 if terminal:
                     dq.popleft()
                     v.status = VehicleStatus.FINISHED
                     v.exit_time = clock
                     st.counters.finished += 1
                     continue
-                next_road = v.route[v.route_pos + 1]
-                turn = self.net.turn_between[(road_id, next_road)]
-                lane = self._pick_lane(self.net.lanes_by_turn[(road_id, turn)])
-                if len(st.queues[lane]) >= self._capacity[road_id]:
+                lanes = v.plan[v.route_pos]
+                lane = lanes[0] if len(lanes) == 1 else self._pick_lane(lanes)
+                if len(queues[lane]) >= capacity:
                     break  # stop line full: road holds this and all behind it
                 dq.popleft()
-                st.queues[lane].append(vid)
+                queues[lane].append(v.id)
                 st.total_queued += 1
                 v.status = VehicleStatus.QUEUED
-                v.lane = lane
 
     # -- control ------------------------------------------------------------
 
     def _poll(self, controllers: Mapping[str, Controller]) -> None:
         st = self.state
+        signals, net = st.signals, self.net
         for iid in self._intersection_ids:
             ctrl = controllers.get(iid)
             if ctrl is None:
                 continue
-            sig = st.signals[iid]
+            sig = signals[iid]
             if sig.transition is not None or sig.elapsed + _EPS < ctrl.t_duration:
                 continue
-            obs = ctrl.observe(st, self.net, iid)
+            obs = ctrl.observe(st, net, iid)
             action = ctrl.decide(obs, iid)
             st.counters.decisions += 1
             self.set_phase(iid, action)
@@ -357,47 +479,49 @@ class Simulation:
 
     def _discharge(self) -> None:
         st = self.state
-        gain = self.config.tick / self.config.saturation_headway
-        credit = self._credit
-        for iid in self._intersection_ids:
-            sig = st.signals[iid]
-            active: frozenset[str] = (
-                self._phase_movements[iid][sig.active]
-                if sig.transition is None
-                else frozenset()
-            )
-            for m in self._movements[iid]:
-                if m.signalized and m.id not in active:
-                    continue
-                c = credit[m.id] + gain
-                while c >= 1.0 - _EPS:
-                    if not self._serve_one(m):
+        queues, signals, credit = st.queues, st.signals, self._credit
+        gain = self._gain
+        ready = 1.0 - _EPS
+        for iid, by_phase, in_transition in self._served:
+            sig = signals[iid]
+            served = by_phase[sig.active] if sig.transition is None else in_transition
+            for m in served:
+                c = credit[m.id]
+                for lane_id in m.entering:
+                    if queues[lane_id]:
                         break
+                else:  # nothing waits: only the credit moves, and not once full
+                    if c < 1.0:
+                        c += gain
+                        credit[m.id] = c if c < 1.0 else 1.0
+                    continue
+                c += gain
+                while c >= ready and self._serve_one(m):
                     c -= 1.0
-                credit[m.id] = min(c, 1.0)
+                credit[m.id] = c if c < 1.0 else 1.0
 
     def _serve_one(self, m: _MovementMeta) -> bool:
         st = self.state
+        queues = st.queues
         for lane_id in m.entering:
-            q = st.queues[lane_id]
+            q = queues[lane_id]
             if not q:
                 continue
             v = st.vehicles[q[0]]
-            next_road = v.route[v.route_pos + 1]
-            if next_road != m.receiving_road:
+            pos = v.route_pos + 1
+            if v.route[pos] != m.receiving_road:
                 continue
             if not m.receiving_terminal:
-                turn2 = self.net.turn_between[(next_road, v.route[v.route_pos + 2])]
-                target = self._pick_lane(self.net.lanes_by_turn[(next_road, turn2)])
-                if len(st.queues[target]) >= self._capacity[next_road]:
+                lanes = v.plan[pos]
+                target = lanes[0] if len(lanes) == 1 else self._pick_lane(lanes)
+                if len(queues[target]) >= m.receiving_capacity:
                     continue
             q.popleft()
             st.total_queued -= 1
-            v.route_pos += 1
+            v.route_pos = pos
             v.status = VehicleStatus.IN_TRANSIT
-            v.lane = None
-            st.transit[next_road].append(
-                (st.clock + self._travel_time[next_road], v.id)
+            st.transit[m.receiving_road].append(
+                (st.clock + m.receiving_travel_time, v.id)
             )
             return True
         return False

@@ -421,3 +421,34 @@ def test_11_cell_determinism(tmp_path):
         outcomes[tag] = digests[0] == digests[1]
     ok = all(outcomes.values())
     _verdict(11, "repeated cells byte-identical", ok, f"identical={outcomes}")
+
+
+# -- engine regression checks ------------------------------------------------
+
+
+def test_fork_leaves_the_original_unaffected():
+    """A fork stepped on its own must not move the run it was forked from:
+    the engine keeps no dynamic state outside ``state`` and ``_credit``. The
+    two share a release schedule, and the fork runs two blocks of it ahead,
+    so the original rebuilds a block the fork pushed out."""
+    net = build_grid(2, 2, 300.0, 300.0)
+    flows = generate_synthetic_demand(net, Asymmetric(0.2, 0.1), 3, 600.0)
+    config = SimConfig(episode_length=147.0, lane_capacity=8)
+    controllers = make_controllers(net, "efficient-mp")
+    original = Simulation(net, flows, config)
+    untouched = Simulation(net, flows, config)
+    original.step(controllers)
+    untouched.step(controllers)
+    clone = _fork(original)
+    for _ in range(200):
+        clone.step(controllers)
+    for _ in range(100):
+        clone.step(controllers)
+        original.step(controllers)
+        untouched.step(controllers)
+        clone.set_phase("n0_0", 3)
+    assert clone.state_digest() != untouched.state_digest()
+    for _ in range(300):
+        original.step(controllers)
+        untouched.step(controllers)
+    assert original.state_digest() == untouched.state_digest()

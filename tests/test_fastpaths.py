@@ -1,0 +1,133 @@
+"""The engine's precomputed paths against the readable reference.
+
+``phase_scores`` must return exactly (``==``, not approximately) what
+``pressure_report`` computes, and ``release_schedule`` must pick exactly
+the ticks the per-tick release predicate picks on the accumulated clock.
+"""
+
+from __future__ import annotations
+
+from collections import deque
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pressim.network import PhaseScheme, build_grid
+from pressim.pressure import phase_scores, pressure_report
+from pressim.sim import (
+    ConfigurationError,
+    FlowSpec,
+    SignalState,
+    SimConfig,
+    SimState,
+    Simulation,
+    release_schedule,
+)
+
+_GRIDS = {
+    (lanes, scheme): build_grid(3, 3, 300.0, 300.0, scheme, lanes_per_approach=lanes)
+    for lanes in (1, 3)
+    for scheme in (PhaseScheme.FOUR, PhaseScheme.EIGHT)
+}
+
+
+def _state(net, counts) -> SimState:
+    return SimState(
+        queues={l: deque(range(n)) for l, n in zip(sorted(net.lane_index), counts)},
+        transit={r.id: deque() for r in net.roads},
+        signals={i.id: SignalState() for i in net.intersections},
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), grid=st.sampled_from(sorted(_GRIDS, key=str)))
+def test_phase_scores_equal_pressure_report(data, grid):
+    # a 3x3 grid has one intersection whose receiving roads are all interior
+    # and eight whose receiving roads partly drain to a boundary
+    net = _GRIDS[grid]
+    counts = data.draw(
+        st.lists(st.integers(0, 40), min_size=len(net.lane_index), max_size=len(net.lane_index))
+    )
+    state = _state(net, counts)
+    for inter in net.intersections:
+        report = pressure_report(state, net, inter.id)
+        assert phase_scores(state, net, inter.id) == report.phase_pressures
+        assert phase_scores(state, net, inter.id, efficient=True) == (
+            report.phase_efficient_pressures
+        )
+
+
+def test_phase_scores_rejects_unknown_intersection():
+    net = _GRIDS[(3, PhaseScheme.FOUR)]
+    with pytest.raises(ConfigurationError):
+        phase_scores(_state(net, []), net, "nowhere")
+
+
+def _reference_releases(flows, tick, ticks):
+    """The per-tick predicate the schedule replaces, on the same clock."""
+    eps = 1e-9
+    due, now = [], 0.0
+    for _ in range(ticks):
+        now += tick
+        on_tick = []
+        for fi, flow in enumerate(flows):
+            if now < flow.start_s - eps or now > flow.end_s + eps:
+                continue
+            rem = (now - flow.start_s) % flow.headway_s
+            if rem > eps and flow.headway_s - rem > eps:
+                continue
+            on_tick.append(fi)
+        due.append(tuple(on_tick))
+    return due
+
+
+_times = st.one_of(
+    st.integers(0, 3000).map(lambda c: c / 100),
+    st.floats(0.0, 30.0, allow_nan=False, allow_infinity=False),
+)
+_headways = st.one_of(
+    st.integers(1, 12).map(float),
+    st.integers(10, 700).map(lambda c: c / 100),
+    st.floats(0.05, 9.0, allow_nan=False, allow_infinity=False),
+)
+_flows = st.lists(
+    st.builds(
+        lambda start, span, headway: FlowSpec(("a", "b"), start, start + span, headway),
+        _times,
+        _times,
+        _headways,
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+def _per_tick(due, offsets):
+    return [tuple(due[a:b].tolist()) for a, b in zip(offsets, offsets[1:])]
+
+
+@settings(max_examples=60, deadline=None)
+@given(flows=_flows, tick=st.sampled_from([1.0, 0.1]), split=st.integers(1, 400))
+def test_release_schedule_matches_per_tick_predicate(flows, tick, split):
+    ticks = round(40.0 / tick)
+    reference = _reference_releases(flows, tick, ticks)
+    due, offsets, _ = release_schedule(flows, tick, 0.0, ticks)
+    assert _per_tick(due, offsets) == reference
+    # built in two blocks, continuing from the first block's clock
+    split = min(split, ticks - 1)
+    *first, clock = release_schedule(flows, tick, 0.0, split)
+    *rest, _ = release_schedule(flows, tick, clock, ticks - split)
+    assert _per_tick(*first) + _per_tick(*rest) == reference
+
+
+def test_release_schedule_grows_past_the_episode():
+    net = build_grid(1, 1, 400.0, 400.0)
+    route = ("boundary:W0__n0_0", "n0_0__boundary:E0")
+    flows = [FlowSpec(route, 0.7, 60.0, 2.3), FlowSpec(route, 3.0, 45.0, 4.0)]
+    config = SimConfig(tick=0.1, episode_length=1.5)
+    sim = Simulation(net, flows, config)
+    for _ in range(650):
+        sim.step({})
+    expected = sum(len(due) for due in _reference_releases(flows, 0.1, 650))
+    assert sim.state.counters.spawned == expected > 0
