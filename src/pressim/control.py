@@ -16,23 +16,16 @@ same decisions from a full ``PressureReport``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Optional, Sequence
 
-from pressim.network import Phase, PhaseScheme, RoadNetwork
+from pressim.network import Phase, RoadNetwork
 from pressim.pressure import PressureReport, phase_scores
 from pressim.sim import ConfigurationError, SimState
-
-
-class TieBreak(Enum):
-    LOWEST_PHASE_INDEX = "lowest-phase-index"
 
 
 @dataclass(frozen=True)
 class ControllerConfig:
     t_duration: float = 15.0
-    tie_break: TieBreak = TieBreak.LOWEST_PHASE_INDEX
-    scheme: Optional[PhaseScheme] = None
 
     def __post_init__(self) -> None:
         if self.t_duration <= 0:

@@ -11,7 +11,6 @@ Right-turn movements are never signalized and are permitted in every phase.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -646,7 +645,3 @@ def save_network(net: RoadNetwork, path: str | Path) -> None:
 def load_network(path: str | Path) -> RoadNetwork:
     return network_from_dict(json.loads(Path(path).read_text()))
 
-
-def default_lane_capacity(road: Road, jam_spacing_m: float = 7.5) -> int:
-    """Queued-vehicle capacity of one lane at standard jam spacing."""
-    return max(1, math.floor(road.length_m / jam_spacing_m))

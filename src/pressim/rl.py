@@ -9,22 +9,23 @@ pass, a finite-difference gradient check, and an adaptive-moment update.
 Training embeds the agent as a signal controller: at each decision instant
 it observes, finalizes the previous step's transition with the reward
 measured now, takes one gradient step on a replay batch, and picks the next
-phase epsilon-greedily. All randomness flows from one seeded generator, so
-a fixed seed reproduces training bit for bit.
+phase epsilon-greedily. Each observation becomes one float64 vector when it
+is made; replay keeps transitions as rows of ring arrays, so a batch is a
+handful of fancy-indexed arrays. All randomness flows from one seeded
+generator, so a fixed seed reproduces training bit for bit.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from pressim.bench import RunReport, report_from_sim
+from pressim.bench import RunReport, report_from_sim, run_episode
 from pressim.control import Controller, ControllerConfig
 from pressim.network import RoadNetwork
 from pressim.pressure import (
@@ -83,13 +84,14 @@ class QLearnerConfig:
             raise ConfigurationError("eval_episodes must fit within episodes")
 
 
-@dataclass(frozen=True)
-class Transition:
-    s: StateVector
-    a: int
-    r: float
-    s_next: StateVector
-    terminal: bool
+class Batch(NamedTuple):
+    """Transitions as parallel arrays, one row per transition."""
+
+    obs: np.ndarray
+    action: np.ndarray
+    reward: np.ndarray
+    next_obs: np.ndarray
+    terminal: np.ndarray
 
 
 class QFunction:
@@ -130,12 +132,8 @@ class QFunction:
         return [*self.weights, *self.biases]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        single = x.ndim == 1
-        h = np.atleast_2d(np.asarray(x, dtype=np.float64)) * self.INPUT_SCALE
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            h = np.maximum(h @ w + b, 0.0)
-        out = h @ self.weights[-1] + self.biases[-1]
-        return out[0] if single else out
+        out, _ = self._forward_cached(x)
+        return out[0] if x.ndim == 1 else out
 
     def _forward_cached(self, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
         h = np.atleast_2d(np.asarray(x, dtype=np.float64)) * self.INPUT_SCALE
@@ -157,14 +155,14 @@ class QFunction:
         loss = float(np.mean(diff**2))
         delta = np.zeros_like(out)
         delta[idx, actions] = 2.0 * diff / n
-        grads_w = [np.zeros_like(w) for w in self.weights]
-        grads_b = [np.zeros_like(b) for b in self.biases]
+        grads_w: list[np.ndarray] = []
+        grads_b: list[np.ndarray] = []
         for layer in range(len(self.weights) - 1, -1, -1):
-            grads_w[layer] = acts[layer].T @ delta
-            grads_b[layer] = delta.sum(axis=0)
+            grads_w.append(acts[layer].T @ delta)
+            grads_b.append(delta.sum(axis=0))
             if layer > 0:
                 delta = (delta @ self.weights[layer].T) * (acts[layer] > 0.0)
-        return grads_w, grads_b, loss
+        return grads_w[::-1], grads_b[::-1], loss
 
     def apply_gradients(
         self, grads_w: list[np.ndarray], grads_b: list[np.ndarray], learning_rate: float
@@ -188,14 +186,8 @@ class QFunction:
             theirs[...] = mine
 
     def clone(self) -> "QFunction":
-        other = QFunction(
-            self.input_size,
-            self.output_size,
-            self.hidden_sizes,
-            np.random.default_rng(0),
-        )
-        self.copy_into(other)
-        return other
+        """Same parameters, fresh optimizer state."""
+        return QFunction.from_doc(self.to_doc())
 
     def to_doc(self) -> dict:
         return {
@@ -219,38 +211,34 @@ class QFunction:
         return q
 
 
-def act(q: QFunction, s: StateVector, epsilon: float, rng: np.random.Generator) -> int:
+def act(q: QFunction, obs: np.ndarray, epsilon: float, rng: np.random.Generator) -> int:
     """Epsilon-greedy phase choice; greedy ties go to the lowest index."""
     if not 0 <= epsilon <= 1:
         raise ConfigurationError("epsilon must be in [0, 1]")
     if epsilon > 0 and rng.random() < epsilon:
         return int(rng.integers(q.output_size))
-    values = q.forward(s.vector())
+    values = q.forward(obs)
     return int(np.argmax(values))
 
 
 def learn_step(
     q: QFunction,
     target_q: QFunction,
-    batch: Sequence[Transition],
+    batch: Batch,
     config: QLearnerConfig,
 ) -> tuple[QFunction, float]:
     """One gradient step toward r + gamma * max target value (r alone at
     episode boundaries); returns the loss measured after the step."""
-    if not batch:
+    n = len(batch.action)
+    if n == 0:
         raise ConfigurationError("learn_step needs a non-empty batch")
-    states = np.stack([t.s.vector() for t in batch])
-    next_states = np.stack([t.s_next.vector() for t in batch])
-    actions = np.array([t.a for t in batch], dtype=np.intp)
-    rewards = np.array([t.r for t in batch], dtype=np.float64)
-    terminal = np.array([t.terminal for t in batch], dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
-        bootstrap = target_q.forward(next_states).max(axis=1)
-        targets = rewards + np.where(terminal, 0.0, config.gamma * bootstrap)
-        grads_w, grads_b, _ = q.td_gradients(states, actions, targets)
+        bootstrap = target_q.forward(batch.next_obs).max(axis=1)
+        targets = batch.reward + np.where(batch.terminal, 0.0, config.gamma * bootstrap)
+        grads_w, grads_b, _ = q.td_gradients(batch.obs, batch.action, targets)
         q.apply_gradients(grads_w, grads_b, config.learning_rate)
-        out = q.forward(states)
-        diff = out[np.arange(len(batch)), actions] - targets
+        out = q.forward(batch.obs)
+        diff = out[np.arange(n), batch.action] - targets
         loss = float(np.mean(diff**2))
     if not np.isfinite(loss):
         raise TrainingDiverged(f"TD loss became non-finite: {loss}")
@@ -294,25 +282,48 @@ def gradient_check(
 
 class ReplayBuffer:
     """Bounded transition store: oldest-first eviction, batch sampling
-    without replacement."""
+    without replacement. Transitions are rows of ring arrays that start at
+    ``INITIAL_ROWS`` and double up to ``capacity``; sample index i is the
+    i-th oldest row, so batches draw and order rows as a FIFO queue would."""
 
-    def __init__(self, capacity: int):
+    INITIAL_ROWS = 64
+
+    def __init__(self, capacity: int, obs_size: int):
         if capacity < 1:
             raise ConfigurationError("buffer capacity must be at least 1")
         self.capacity = capacity
-        self._items: deque[Transition] = deque(maxlen=capacity)
+        rows = min(capacity, self.INITIAL_ROWS)
+        self._rows = Batch(
+            np.empty((rows, obs_size)), np.empty(rows, np.intp), np.empty(rows),
+            np.empty((rows, obs_size)), np.empty(rows, bool),
+        )
+        self._size = 0
+        self._cursor = 0  # the next slot written; the oldest row once full
 
-    def push(self, t: Transition) -> None:
-        self._items.append(t)
+    def push(
+        self, obs: np.ndarray, action: int, r: float, next_obs: np.ndarray, terminal: bool
+    ) -> None:
+        rows = len(self._rows.action)
+        if self._size == rows < self.capacity:
+            grown = min(2 * rows, self.capacity)
+            # np.resize keeps the stored rows first; later rows are written before read
+            self._rows = Batch(*(np.resize(a, (grown, *a.shape[1:])) for a in self._rows))
+        slot = self._cursor
+        for column, value in zip(self._rows, (obs, action, r, next_obs, terminal)):
+            column[slot] = value
+        self._cursor = (slot + 1) % self.capacity
+        self._size = min(self._size + 1, self.capacity)
 
-    def sample(self, n: int, rng: np.random.Generator) -> list[Transition]:
-        if n > len(self._items):
+    def sample(self, n: int, rng: np.random.Generator) -> Batch:
+        if n > self._size:
             raise ConfigurationError("cannot sample more transitions than stored")
-        idx = rng.choice(len(self._items), size=n, replace=False)
-        return [self._items[i] for i in idx]
+        idx = rng.choice(self._size, size=n, replace=False)
+        if self._size == self.capacity:
+            idx = (idx + self._cursor) % self.capacity
+        return Batch(*(column[idx] for column in self._rows))
 
     def __len__(self) -> int:
-        return len(self._items)
+        return self._size
 
 
 def epsilon_for_episode(config: QLearnerConfig, episode: int) -> float:
@@ -371,9 +382,9 @@ class LearningAgent(Controller):
             q = QFunction(input_size, n_phases, config.hidden_sizes, self.rng)
             self.q_functions[scope] = q
             self.target_functions[scope] = q.clone()
-            self.buffers[scope] = ReplayBuffer(config.buffer_capacity)
+            self.buffers[scope] = ReplayBuffer(config.buffer_capacity, input_size)
             self.decision_counts[scope] = 0
-        self._pending: dict[str, tuple[StateVector, int]] = {}
+        self._pending: dict[str, tuple[np.ndarray, int]] = {}
         self.losses: list[float] = []
         self.episode_returns: list[float] = []
         self._episode_return = 0.0
@@ -394,17 +405,17 @@ class LearningAgent(Controller):
     def observe(self, state: SimState, net: RoadNetwork, intersection: str):
         sv = extract_state(state, net, intersection, self.qconfig.state_kind)
         r = reward(state, net, intersection, self.qconfig.reward_kind)
-        return (sv, r)
+        return (sv.vector(), r)
 
     def decide(self, observation, intersection: str) -> int:
-        sv, r = observation
+        obs, r = observation
         scope = self._scope(intersection)
         pending = self._pending.get(intersection)
         if pending is not None:
-            prev_s, prev_a = pending
-            self._record(scope, Transition(prev_s, prev_a, r, sv, terminal=False))
-        action = act(self.q_functions[scope], sv, self.epsilon, self.rng)
-        self._pending[intersection] = (sv, action)
+            prev_obs, prev_a = pending
+            self._record(scope, prev_obs, prev_a, r, obs, terminal=False)
+        action = act(self.q_functions[scope], obs, self.epsilon, self.rng)
+        self._pending[intersection] = (obs, action)
         return action
 
     def begin_episode(self, sim: Simulation) -> None:
@@ -412,18 +423,20 @@ class LearningAgent(Controller):
         self._episode_return = 0.0
 
     def end_episode(self, sim: Simulation) -> None:
-        for intersection, (sv, action) in sorted(self._pending.items()):
+        for intersection, (obs, action) in sorted(self._pending.items()):
             r = reward(sim.state, self.net, intersection, self.qconfig.reward_kind)
             scope = self._scope(intersection)
-            self._record(scope, Transition(sv, action, r, sv, terminal=True))
+            self._record(scope, obs, action, r, obs, terminal=True)
         self._pending.clear()
         self.episode_returns.append(self._episode_return)
 
     # learning ---------------------------------------------------------------
 
-    def _record(self, scope: str, t: Transition) -> None:
-        self._episode_return += t.r
-        self.buffers[scope].push(t)
+    def _record(
+        self, scope: str, obs, action: int, r: float, next_obs, terminal: bool
+    ) -> None:
+        self._episode_return += r
+        self.buffers[scope].push(obs, action, r, next_obs, terminal)
         if not self.learning:
             return
         buf = self.buffers[scope]
@@ -488,10 +501,7 @@ def train(
             agent.epsilon = 0.0
         started = time.perf_counter()
         try:
-            sim = Simulation(net, flows, sim_config)
-            agent.begin_episode(sim)
-            sim.run(controllers)
-            agent.end_episode(sim)
+            sim = run_episode(net, flows, sim_config, controllers)
         except TrainingDiverged as exc:
             raise TrainingDiverged(str(exc), reports) from None
         reports.append(

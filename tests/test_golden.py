@@ -5,17 +5,23 @@ pins show that it repeats the behaviour recorded here. A refactor or a
 speed-up must leave every digest unchanged. A deliberate change to the
 model's semantics re-pins them, and says why, in its own change.
 
-The scenarios are short, congested episodes: capacity gates, blocked
+The learner pins hash the saved parameters of short seeded training runs,
+so they show that seeded training repeats bit for bit.
+
+The engine scenarios are short, congested episodes: capacity gates, blocked
 spawns, transitions and capacity races between movements all occur.
 """
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
-from pressim.bench import Asymmetric, Peaked, generate_synthetic_demand, run_episode
+from pressim.bench import Asymmetric, Peaked, Uniform, generate_synthetic_demand, run_episode
 from pressim.control import ControllerConfig, make_controllers
 from pressim.network import PhaseScheme, build_grid
+from pressim.rl import QLearnerConfig, save_parameters, train
 from pressim.sim import FlowSpec, SimConfig, Simulation
 
 _SCHEMES = {4: PhaseScheme.FOUR, 8: PhaseScheme.EIGHT}
@@ -102,3 +108,34 @@ def test_fractional_tick_digest():
     assert sim.state_digest() == (
         "af693b41ab496a82f4818cb85e69fe82e787d7fbc4ecca40041b7d9fa128c26a"
     )
+
+
+# (rows, cols, config overrides) -> (sha256 of saved parameters, learn steps)
+LEARNER = {
+    "1x1-3-episodes": (
+        1, 1, {"episodes": 3, "batch_size": 8},
+        "06d49e7db9ae07a5612b45fa420c0ba1167ad06ca7181be14febff48a5d15beb", 91,
+    ),
+    # 262 pushes into 100 slots: the replay ring wraps
+    "2x2-ring-wraps": (
+        2, 2, {"episodes": 2, "batch_size": 16, "buffer_capacity": 100},
+        "b308d26b132e956eb260b650b14965806d7e67bfc4a349f2201416be6966150e", 247,
+    ),
+    "2x2-private-parameters": (
+        2, 2, {"episodes": 2, "batch_size": 16, "shared_parameters": False},
+        "456a693629c8448c8d74b53c9d8b9402df5490aedf90c76903e640f265af6314", 201,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LEARNER))
+def test_learner_parameters_digest(name, tmp_path):
+    rows, cols, overrides, digest, learn_steps = LEARNER[name]
+    net = build_grid(rows, cols, 300.0, 300.0)
+    flows = generate_synthetic_demand(net, Uniform(0.08), 3, 600.0)
+    config = QLearnerConfig(eval_episodes=1, seed=5, **overrides)
+    agent, _ = train(net, flows, config, SimConfig(episode_length=600.0))
+    path = tmp_path / "params.json"
+    save_parameters(agent, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    assert len(agent.losses) == learn_steps

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,13 +11,13 @@ from pressim.bench import Uniform, generate_synthetic_demand
 from pressim.network import build_grid
 from pressim.pressure import RewardKind, StateKind, StateVector
 from pressim.rl import (
+    Batch,
     LearningAgent,
     QFunction,
     QLearnerConfig,
     QPolicyController,
     ReplayBuffer,
     TrainingDiverged,
-    Transition,
     act,
     epsilon_for_episode,
     gradient_check,
@@ -33,6 +35,18 @@ def sv(features, onehot=()) -> StateVector:
         kind=StateKind.NV,
         phase_onehot=tuple(float(v) for v in onehot),
         features=tuple(float(v) for v in features),
+    )
+
+
+def batch(*rows) -> Batch:
+    """Batch from (obs, action, reward, next_obs, terminal) rows."""
+    obs, actions, rewards, next_obs, terminal = zip(*rows)
+    return Batch(
+        np.array(obs, dtype=np.float64),
+        np.array(actions, dtype=np.intp),
+        np.array(rewards, dtype=np.float64),
+        np.array(next_obs, dtype=np.float64),
+        np.array(terminal, dtype=bool),
     )
 
 
@@ -63,7 +77,7 @@ def test_config_validation():
 
 def test_act_greedy_and_tie_break():
     rng = np.random.default_rng(0)
-    s = sv([1.0, 2.0])
+    s = np.array([1.0, 2.0])
     assert act(q_with_fixed_output([1, 5, 2, 0]), s, 0.0, rng) == 1
     assert act(q_with_fixed_output([2, 2, 1, 0]), s, 0.0, rng) == 0
     with pytest.raises(ConfigurationError):
@@ -75,7 +89,7 @@ def test_act_uniform_under_full_exploration():
     q = q_with_fixed_output([9, 0, 0, 0])  # greedy would always pick 0
     draws = 10_000
     counts = np.zeros(4)
-    s = sv([0.0, 0.0])
+    s = np.zeros(2)
     for _ in range(draws):
         counts[act(q, s, 1.0, rng)] += 1
     expected = draws / 4
@@ -88,10 +102,10 @@ def test_learn_step_myopic_convergence():
     q = QFunction(4, 3, (16,), rng)
     target = q.clone()
     cfg = QLearnerConfig(gamma=0.0, learning_rate=1e-2, batch_size=1, buffer_capacity=8)
-    t = Transition(sv([1, 0, 1, 0]), 1, 7.0, sv([0, 1, 0, 1]), False)
+    b = batch(([1, 0, 1, 0], 1, 7.0, [0, 1, 0, 1], False))
     for _ in range(2500):
-        q, loss = learn_step(q, target, [t], cfg)
-    assert q.forward(t.s.vector())[1] == pytest.approx(7.0, abs=1e-3)
+        q, loss = learn_step(q, target, b, cfg)
+    assert q.forward(b.obs[0])[1] == pytest.approx(7.0, abs=1e-3)
     assert loss < 1e-6
 
 
@@ -101,25 +115,28 @@ def test_learn_step_terminal_excludes_bootstrap():
     # target network promises a huge future value that must be ignored
     target = q_with_fixed_output([1000.0, 1000.0])
     cfg = QLearnerConfig(gamma=0.9, learning_rate=1e-2, batch_size=1, buffer_capacity=8)
-    t = Transition(sv([1, 0]), 0, -4.0, sv([0, 1]), terminal=True)
+    b = batch(([1, 0], 0, -4.0, [0, 1], True))
     for _ in range(2500):
-        q, _ = learn_step(q, target, [t], cfg)
-    assert q.forward(t.s.vector())[0] == pytest.approx(-4.0, abs=1e-2)
+        q, _ = learn_step(q, target, b, cfg)
+    assert q.forward(b.obs[0])[0] == pytest.approx(-4.0, abs=1e-2)
 
 
 def test_learn_step_rejects_empty_batch():
     q = q_with_fixed_output([0, 0])
+    empty = Batch(
+        np.empty((0, 2)), np.empty(0, np.intp), np.empty(0), np.empty((0, 2)), np.empty(0, bool)
+    )
     with pytest.raises(ConfigurationError):
-        learn_step(q, q, [], QLearnerConfig())
+        learn_step(q, q, empty, QLearnerConfig())
 
 
 def test_bellman_fixed_point_matches_value_iteration():
-    transitions = [
-        Transition(sv([1, 0]), 0, 1.0, sv([0, 1]), False),
-        Transition(sv([1, 0]), 1, 0.0, sv([1, 0]), False),
-        Transition(sv([0, 1]), 0, 2.0, sv([1, 0]), False),
-        Transition(sv([0, 1]), 1, 0.0, sv([0, 1]), False),
-    ]
+    transitions = batch(
+        ([1, 0], 0, 1.0, [0, 1], False),
+        ([1, 0], 1, 0.0, [1, 0], False),
+        ([0, 1], 0, 2.0, [1, 0], False),
+        ([0, 1], 1, 0.0, [0, 1], False),
+    )
     gamma = 0.9
     oracle = np.zeros((2, 2))
     for _ in range(500):
@@ -169,19 +186,58 @@ def test_gradient_check_is_deterministic():
 
 
 def test_replay_buffer_eviction_and_sampling():
-    buf = ReplayBuffer(5)
-    items = [Transition(sv([i]), 0, float(i), sv([i]), False) for i in range(8)]
-    for t in items:
-        buf.push(t)
+    buf = ReplayBuffer(5, 1)
+    for i in range(8):
+        buf.push(np.array([i]), 0, float(i), np.array([i]), False)
     assert len(buf) == 5
-    stored_rewards = {t.r for t in buf.sample(5, np.random.default_rng(0))}
+    stored_rewards = set(buf.sample(5, np.random.default_rng(0)).reward)
     assert stored_rewards == {3.0, 4.0, 5.0, 6.0, 7.0}  # oldest three evicted
-    batch = buf.sample(4, np.random.default_rng(1))
-    assert len({id(t) for t in batch}) == 4  # without replacement
+    sampled = buf.sample(4, np.random.default_rng(1))
+    assert len(set(sampled.reward)) == 4  # without replacement
     with pytest.raises(ConfigurationError):
         buf.sample(6, np.random.default_rng(2))
     with pytest.raises(ConfigurationError):
-        ReplayBuffer(0)
+        ReplayBuffer(0, 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    capacity=st.integers(1, 300),
+    pushes=st.integers(0, 700),
+    n=st.integers(1, 70),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_replay_ring_samples_like_a_fifo_queue(capacity, pushes, n, seed):
+    """Pushing past capacity and past every doubling of the arrays, each
+    sample draws the same rows in the same order as a bounded deque."""
+    buf = ReplayBuffer(capacity, 2)
+    reference: deque = deque(maxlen=capacity)
+    rng_buf, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    for i in range(pushes):
+        row = (np.array([i, -0.5 * i]), i % 7, float(i), np.array([i + 1.0, 0.0]), i % 3 == 0)
+        buf.push(*row)
+        reference.append(row)
+        assert len(buf) == len(reference)
+        if len(reference) < n:
+            continue
+        got = buf.sample(n, rng_buf)
+        expected = [reference[j] for j in rng_ref.choice(len(reference), size=n, replace=False)]
+        assert got.reward.tolist() == [r[2] for r in expected]
+        assert got.action.tolist() == [r[1] for r in expected]
+        assert got.terminal.tolist() == [r[4] for r in expected]
+        np.testing.assert_array_equal(got.obs, [r[0] for r in expected])
+        np.testing.assert_array_equal(got.next_obs, [r[3] for r in expected])
+
+
+def test_replay_arrays_grow_by_doubling_up_to_capacity():
+    buf = ReplayBuffer(200, 3)
+    rows = []
+    for i in range(300):
+        buf.push(np.full(3, i), 0, float(i), np.full(3, i), False)
+        rows.append(len(buf._rows.reward))
+    assert rows[0] == ReplayBuffer.INITIAL_ROWS
+    assert sorted(set(rows)) == [64, 128, 200]
+    assert rows[64] == 128 and rows[128] == 200
 
 
 @settings(max_examples=30, deadline=None)
@@ -209,10 +265,10 @@ def test_divergence_raises():
     rng = np.random.default_rng(0)
     q = QFunction(4, 2, (8, 8), rng)
     cfg = QLearnerConfig(learning_rate=1e100, batch_size=1, buffer_capacity=8)
-    t = Transition(sv([1, 2, 3, 4]), 0, 1.0, sv([1, 2, 3, 4]), False)
+    b = batch(([1, 2, 3, 4], 0, 1.0, [1, 2, 3, 4], False))
     with pytest.raises(TrainingDiverged):
         for _ in range(10):
-            learn_step(q, q.clone(), [t], cfg)
+            learn_step(q, q.clone(), b, cfg)
 
 
 def test_train_divergence_carries_partial_reports():
