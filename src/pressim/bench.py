@@ -26,11 +26,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from pressim.control import (
-    CLASSICAL_CONTROLLERS,
-    Controller,
-    ControllerConfig,
-)
+from pressim.control import Controller, ControllerConfig, make_controllers
 from pressim.network import Compass, PhaseScheme, Road, RoadNetwork, Turn, with_phase_scheme
 from pressim.sim import (
     ConfigurationError,
@@ -344,8 +340,7 @@ def _apply_sweep(
     label = f"{scenario.id}[{sweep.param}={value}]"
     if sweep.param == "t_duration":
         control = dataclasses.replace(spec.control, t_duration=float(value))
-        learner = spec.learner
-        return scenario, dataclasses.replace(spec, control=control, learner=learner), label
+        return scenario, dataclasses.replace(spec, control=control), label
     if sweep.param == "phases":
         scheme = PhaseScheme.FOUR if int(value) == 4 else PhaseScheme.EIGHT
         net = with_phase_scheme(scenario.net, scheme)
@@ -368,7 +363,7 @@ def _run_cell(
     try:
         flows = scenario.flows_for_seed(seed)
         if spec.name == "rl":
-            from pressim.rl import train
+            from pressim.rl import evaluation_travel_time, save_parameters, train
 
             learner = dataclasses.replace(spec.learner, seed=seed)
             agent, episodes = train(
@@ -390,25 +385,11 @@ def _run_cell(
                 for r in episodes
             ]
             if out_dir is not None:
-                from pressim.rl import save_parameters
-
                 stem = f"params_{label}_{spec.display}_seed{seed}.json".replace("/", "-")
                 save_parameters(agent, Path(out_dir) / stem)
-            tail = reports[-max(1, learner.eval_episodes):]
-            value = float(
-                np.mean([round(r.average_travel_time, 6) for r in tail])
-            )
-            return reports, None, value
-        cls = CLASSICAL_CONTROLLERS.get(spec.name)
-        if cls is None:
-            raise ConfigurationError(f"unknown controller {spec.name!r}")
-        ctrl = cls(spec.control)
-        sim = run_episode(
-            scenario.net,
-            flows,
-            scenario.sim,
-            {i.id: ctrl for i in scenario.net.intersections},
-        )
+            return reports, None, evaluation_travel_time(reports, learner.eval_episodes)
+        controllers = make_controllers(scenario.net, spec.name, spec.control)
+        sim = run_episode(scenario.net, flows, scenario.sim, controllers)
         wall = time.perf_counter() - started
         report = report_from_sim(sim, label, spec.display, seed, wall_time=wall)
         return [report], None, round(report.average_travel_time, 6)

@@ -2,12 +2,14 @@
 
 Subcommands: ``run`` (one controller-vs-scenario matrix), ``gen-grid``
 (write a grid network file), ``gen-demand`` (write a flow file from a
-synthetic profile), and ``sweep`` (parameter sweep over t_duration, state
-representation, or phase scheme).
+synthetic profile), and ``sweep`` (several controllers, optionally swept
+over t_duration, state representation, or phase scheme). ``--demand`` takes
+one or more profiles, each one scenario.
 
 Every flag can also be supplied through an environment variable named after
 it with the ``PRESSIM_`` prefix (``--t-duration`` becomes
-``PRESSIM_T_DURATION``); explicit flags win over the environment.
+``PRESSIM_T_DURATION``); explicit flags win over the environment. A flag
+taking several values reads them space-separated (``PRESSIM_DEMAND``).
 
 Exit codes: 0 when every cell succeeded, 1 when any cell failed, 2 on
 configuration errors.
@@ -63,13 +65,14 @@ def _add(
     default=None,
     choices: Optional[Sequence] = None,
     required: bool = False,
+    nargs: Optional[str] = None,
     help: str = "",
 ) -> None:
     """add_argument with an environment-variable fallback for the default."""
     env = _env_value(flag)
     if env is not None:
         try:
-            default = type(env)
+            default = [type(v) for v in env.split()] if nargs else type(env)
         except (TypeError, ValueError) as exc:
             raise ConfigurationError(f"bad value for {flag} in environment: {exc}")
         if choices is not None and default not in choices:
@@ -78,7 +81,8 @@ def _add(
             )
         required = False
     parser.add_argument(
-        flag, type=type, default=default, choices=choices, required=required, help=help
+        flag, type=type, default=default, choices=choices, required=required,
+        nargs=nargs, help=help,
     )
 
 
@@ -103,17 +107,29 @@ def _load_net(args) -> RoadNetwork:
     return net
 
 
-def _scenario(args) -> Scenario:
+def _scenarios(args) -> tuple[Scenario, ...]:
+    """One scenario per demand profile, or one over the flow file. A lone
+    scenario is named after the network file; several add their profile."""
     net = _load_net(args)
     sim = SimConfig(episode_length=args.episode_length)
     name = Path(args.network).stem
     if args.flows and args.demand:
         raise ConfigurationError("give either --flows or --demand, not both")
     if args.flows:
-        return Scenario(id=name, net=net, sim=sim, flows=tuple(load_flows(args.flows)))
-    if args.demand:
-        return Scenario(id=name, net=net, sim=sim, demand=parse_demand_spec(args.demand))
-    raise ConfigurationError("a scenario needs --flows or --demand")
+        return (Scenario(id=name, net=net, sim=sim, flows=tuple(load_flows(args.flows))),)
+    if not args.demand:
+        raise ConfigurationError("a scenario needs --flows or --demand")
+    if len(set(args.demand)) < len(args.demand):
+        raise ConfigurationError("a --demand profile is given twice")
+    return tuple(
+        Scenario(
+            id=name if len(args.demand) == 1 else f"{name}[demand={spec}]",
+            net=net,
+            sim=sim,
+            demand=parse_demand_spec(spec),
+        )
+        for spec in args.demand
+    )
 
 
 def _controller_spec(name: str, args) -> ControllerSpec:
@@ -154,7 +170,7 @@ def _execute(plan: ExperimentPlan) -> int:
 
 def cmd_run(args) -> int:
     plan = ExperimentPlan(
-        scenarios=(_scenario(args),),
+        scenarios=_scenarios(args),
         controllers=(_controller_spec(args.controller, args),),
         seeds=args.seeds,
         out_dir=args.out,
@@ -163,22 +179,28 @@ def cmd_run(args) -> int:
     return _execute(plan)
 
 
+def _sweep(args) -> Optional[Sweep]:
+    if (args.param is None) != (args.values is None):
+        raise ConfigurationError("give --param and --values together, or neither")
+    if args.param is None:
+        return None
+    # --param's choices are these keys, from the command line and the environment
+    parse = {"t_duration": float, "phases": int, "state": lambda v: StateKind(v).value}
+    try:
+        values = tuple(map(parse[args.param], args.values.split(",")))
+    except ValueError as exc:
+        raise ConfigurationError(f"bad --values for {args.param}: {exc}") from None
+    if args.param == "phases" and any(v not in (4, 8) for v in values):
+        raise ConfigurationError("phase scheme values must be 4 or 8")
+    return Sweep(param=args.param, values=values)
+
+
 def cmd_sweep(args) -> int:
-    if args.param == "t_duration":
-        values: tuple = tuple(float(v) for v in args.values.split(","))
-    elif args.param == "phases":
-        values = tuple(int(v) for v in args.values.split(","))
-        if any(v not in (4, 8) for v in values):
-            raise ConfigurationError("phase scheme values must be 4 or 8")
-    elif args.param == "state":
-        values = tuple(StateKind(v).value for v in args.values.split(","))
-    else:
-        raise ConfigurationError(f"unknown sweep parameter {args.param!r}")
     plan = ExperimentPlan(
-        scenarios=(_scenario(args),),
+        scenarios=_scenarios(args),
         controllers=tuple(_controller_spec(n, args) for n in args.controllers),
         seeds=args.seeds,
-        sweep=Sweep(param=args.param, values=values),
+        sweep=_sweep(args),
         out_dir=args.out,
         jobs=args.jobs,
     )
@@ -216,7 +238,8 @@ def cmd_gen_demand(args) -> int:
 def _scenario_flags(p: argparse.ArgumentParser) -> None:
     _add(p, "--network", required=True, help="network file (JSON)")
     _add(p, "--flows", help="flow file; omit when using --demand")
-    _add(p, "--demand", help="synthetic profile, e.g. uniform:0.1")
+    _add(p, "--demand", nargs="+",
+         help="synthetic profiles, one scenario each, e.g. uniform:0.1 asymmetric:0.12,0.04")
     _add(p, "--phases", type=int, choices=(4, 8), help="override the phase scheme")
     _add(p, "--episode-length", type=float, default=3600.0)
     _add(p, "--t-duration", type=float, default=15.0, help="minimum green seconds")
@@ -236,15 +259,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run one controller on one scenario")
+    p_run = sub.add_parser("run", help="run one controller on each scenario")
     _scenario_flags(p_run)
     _add(p_run, "--controller", default="mp", choices=CONTROLLER_CHOICES)
     p_run.set_defaults(func=cmd_run)
 
-    p_sweep = sub.add_parser("sweep", help="sweep a parameter over a scenario")
+    p_sweep = sub.add_parser(
+        "sweep", help="run several controllers, optionally sweeping a parameter"
+    )
     _scenario_flags(p_sweep)
-    _add(p_sweep, "--param", required=True, choices=("t_duration", "state", "phases"))
-    _add(p_sweep, "--values", required=True, help="comma-separated sweep values")
+    _add(p_sweep, "--param", choices=("t_duration", "state", "phases"))
+    _add(p_sweep, "--values", help="comma-separated sweep values; needs --param")
     _add(p_sweep, "--controllers", type=_str_list, default=("mp",))
     p_sweep.set_defaults(func=cmd_sweep)
 

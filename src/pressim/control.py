@@ -1,13 +1,14 @@
-"""Classical signal controllers: fixed-time cycling and pressure greedies.
+"""Classical signal controllers: fixed-time cycling and the pressure greedy.
 
 All three controllers share the same cadence: the engine polls them after
-every ``t_duration`` seconds of green and they return a phase id. The
-pressure-based controllers pick the argmax of a per-phase score computed
+every ``t_duration`` seconds of green and they return a phase id. ``mp``
+and ``efficient-mp`` are one ``PressureController`` scored two ways: it
+picks the argmax of a per-phase pressure, or efficient pressure, computed
 from the live queue state; ties go to the lowest phase index so decisions
 are deterministic. An argmax is taken even when every score is negative:
 some phase runs regardless, so pick the least bad.
 
-The controllers read their scores through ``pressure.phase_scores``, which
+The controller reads its scores through ``pressure.phase_scores``, which
 returns phase i's score at position i; phase ids are their positions, as
 the engine assumes too. ``mp_decide`` and ``efficient_mp_decide`` take the
 same decisions from a full ``PressureReport``.
@@ -15,6 +16,7 @@ same decisions from a full ``PressureReport``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -98,21 +100,16 @@ class FixedTimeController(Controller):
         return fixed_time_decide(current, phases)
 
 
-class MaxPressureController(Controller):
-    """Phase with maximum phase pressure."""
+class PressureController(Controller):
+    """Phase with maximum phase pressure, or with maximum phase efficient
+    pressure when ``efficient``: one greedy rule, scored two ways."""
+
+    def __init__(self, config: Optional[ControllerConfig] = None, efficient: bool = False):
+        super().__init__(config)
+        self.efficient = efficient
 
     def observe(self, state: SimState, net: RoadNetwork, intersection: str):
-        return phase_scores(state, net, intersection)
-
-    def decide(self, observation, intersection: str) -> int:
-        return _argmax_lowest(observation)
-
-
-class EfficientMaxPressureController(Controller):
-    """Phase with maximum phase efficient pressure."""
-
-    def observe(self, state: SimState, net: RoadNetwork, intersection: str):
-        return phase_scores(state, net, intersection, efficient=True)
+        return phase_scores(state, net, intersection, self.efficient)
 
     def decide(self, observation, intersection: str) -> int:
         return _argmax_lowest(observation)
@@ -120,8 +117,8 @@ class EfficientMaxPressureController(Controller):
 
 CLASSICAL_CONTROLLERS = {
     "fixedtime": FixedTimeController,
-    "mp": MaxPressureController,
-    "efficient-mp": EfficientMaxPressureController,
+    "mp": PressureController,
+    "efficient-mp": functools.partial(PressureController, efficient=True),
 }
 
 
@@ -130,8 +127,8 @@ def make_controllers(
 ) -> dict[str, Controller]:
     """One shared controller instance mapped over every intersection."""
     try:
-        cls = CLASSICAL_CONTROLLERS[name]
+        make = CLASSICAL_CONTROLLERS[name]
     except KeyError:
         raise ConfigurationError(f"unknown controller {name!r}") from None
-    ctrl = cls(config)
+    ctrl = make(config)
     return {i.id: ctrl for i in net.intersections}

@@ -174,10 +174,9 @@ class RoadNetwork:
     """Immutable after construction; safe to share across simulations.
 
     Besides the raw intersections/roads it exposes derived lookup tables:
-    ``lane_index`` maps lane id to (road, lane), ``downstream`` maps each
-    exiting lane to the lane on which its queue is read (itself for roads
-    ending at an interior intersection, ``None`` for boundary sinks), and
-    ``turn_between`` maps connected road pairs to the turn linking them.
+    ``lane_index`` maps lane id to (road, lane), ``turn_between`` maps
+    connected road pairs to the turn linking them, and ``lanes_by_turn``
+    maps (road, turn) to the lanes designated for that turn.
     """
 
     def __init__(
@@ -185,7 +184,6 @@ class RoadNetwork:
         intersections: Iterable[Intersection],
         roads: Iterable[Road],
         phase_scheme: PhaseScheme,
-        downstream: Optional[dict[str, Optional[str]]] = None,
     ):
         self.intersections: tuple[Intersection, ...] = tuple(
             sorted(intersections, key=lambda i: i.id)
@@ -205,24 +203,13 @@ class RoadNetwork:
             m.id: m for i in self.intersections for m in i.movements
         }
 
-        if downstream is None:
-            downstream = {}
-            for road in self.roads:
-                if road.src in self.intersection_index:
-                    tail = road.dst if road.dst in self.intersection_index else None
-                    for lane in road.lanes:
-                        downstream[lane.id] = lane.id if tail else None
-        self.downstream: dict[str, Optional[str]] = downstream
-
-        # (entry road, exit road) -> turn, and movement lookup by entry road.
+        # (entry road, exit road) -> turn
         self.turn_between: dict[tuple[str, str], Turn] = {}
-        self.movement_by_entry: dict[tuple[str, str, Turn], TrafficMovement] = {}
         for inter in self.intersections:
             for m in inter.movements:
                 entry_road = self.lane_index[m.entering[0]][0].id
                 exit_road = self.lane_index[m.exiting[0]][0].id
                 self.turn_between[(entry_road, exit_road)] = m.turn
-                self.movement_by_entry[(inter.id, entry_road, m.turn)] = m
 
         self.lanes_by_turn: dict[tuple[str, Turn], tuple[str, ...]] = {}
         for road in self.roads:
@@ -237,9 +224,6 @@ class RoadNetwork:
     def terminal(self, road_id: str) -> bool:
         """True when the road drains to a boundary sink."""
         return self.is_boundary(self.road_index[road_id].dst)
-
-    def approach_roads(self, intersection_id: str) -> tuple[Road, ...]:
-        return tuple(r for r in self.roads if r.dst == intersection_id)
 
     def exit_roads(self, intersection_id: str) -> tuple[Road, ...]:
         return tuple(r for r in self.roads if r.src == intersection_id)
@@ -327,29 +311,6 @@ def validate(net: RoadNetwork) -> list[Violation]:
                         f"conflicting movements {a.id} and {b.id}",
                     )
                 )
-
-    for road in net.roads:
-        if road.src not in net.intersection_index and not _is_boundary_marker(road.src):
-            continue  # already reported above
-        if road.src in net.intersection_index and road.dst in net.intersection_index:
-            for lane in road.lanes:
-                target = net.downstream.get(lane.id)
-                if target is None:
-                    out.append(
-                        Violation(lane.id, "interior exiting lane has no downstream lane")
-                    )
-                elif isinstance(target, str):
-                    if target not in net.lane_index:
-                        out.append(
-                            Violation(lane.id, f"downstream lane {target} does not exist")
-                        )
-                else:  # a collection: ambiguous mapping
-                    out.append(
-                        Violation(
-                            lane.id,
-                            f"maps to {len(tuple(target))} downstream lanes, expected exactly 1",
-                        )
-                    )
     return out
 
 
@@ -509,7 +470,7 @@ def with_phase_scheme(net: RoadNetwork, scheme: PhaseScheme) -> RoadNetwork:
                 phases=phases,
             )
         )
-    return RoadNetwork(rebuilt, net.roads, scheme, downstream=dict(net.downstream))
+    return RoadNetwork(rebuilt, net.roads, scheme)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from pressim.network import Intersection, Phase, RoadNetwork, TrafficMovement
-from pressim.sim import ConfigurationError, SimState
+from pressim.sim import ConfigurationError, SimState, pick_lane
 
 
 class StateKind(Enum):
@@ -69,8 +69,8 @@ def efficient_pressure(entering: Sequence[float], exiting: Sequence[float]) -> f
 
 def downstream_queue(state: SimState, net: RoadNetwork, lane_id: str) -> int:
     """Queue a vehicle leaving onto this lane would find; 0 past a boundary."""
-    target = net.downstream[lane_id]
-    return 0 if target is None else len(state.queues[target])
+    road, _ = net.lane_index[lane_id]
+    return 0 if net.is_boundary(road.dst) else len(state.queues[lane_id])
 
 
 def _require_intersection(net: RoadNetwork, intersection: str) -> Intersection:
@@ -111,11 +111,7 @@ def lane_stats(state: SimState, net: RoadNetwork, road_id: str) -> list[LaneStat
         for _, vid in state.transit[road_id]:
             v = state.vehicles[vid]
             turn = net.turn_between[(road_id, v.route[v.route_pos + 1])]
-            candidates = net.lanes_by_turn[(road_id, turn)]
-            pick = candidates[0]
-            for c in candidates[1:]:
-                if virtual[c] < virtual[pick]:
-                    pick = c
+            pick = pick_lane(net.lanes_by_turn[(road_id, turn)], virtual.__getitem__)
             virtual[pick] += 1
             extra[pick] += 1
     return [
@@ -216,7 +212,7 @@ _PHASE_LANES: weakref.WeakKeyDictionary[RoadNetwork, dict[str, _PhaseLanes]] = (
 
 def _resolve_phase_lanes(net: RoadNetwork, inter: Intersection) -> _PhaseLanes:
     def read(lanes) -> tuple[str, ...]:
-        return tuple(t for t in (net.downstream[l] for l in lanes) if t is not None)
+        return tuple(l for l in lanes if not net.is_boundary(net.lane_index[l][0].dst))
 
     served = list(dict.fromkeys(mid for p in inter.phases for mid in p.movements))
     movements = []

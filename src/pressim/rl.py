@@ -146,13 +146,12 @@ class QFunction:
 
     def td_gradients(
         self, states: np.ndarray, actions: np.ndarray, targets: np.ndarray
-    ) -> tuple[list[np.ndarray], list[np.ndarray], float]:
-        """Gradients of mean squared TD error over a batch; also the loss."""
+    ) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Gradients of mean squared TD error over a batch."""
         out, acts = self._forward_cached(states)
         n = len(states)
         idx = np.arange(n)
         diff = out[idx, actions] - targets
-        loss = float(np.mean(diff**2))
         delta = np.zeros_like(out)
         delta[idx, actions] = 2.0 * diff / n
         grads_w: list[np.ndarray] = []
@@ -162,7 +161,7 @@ class QFunction:
             grads_b.append(delta.sum(axis=0))
             if layer > 0:
                 delta = (delta @ self.weights[layer].T) * (acts[layer] > 0.0)
-        return grads_w[::-1], grads_b[::-1], loss
+        return grads_w[::-1], grads_b[::-1]
 
     def apply_gradients(
         self, grads_w: list[np.ndarray], grads_b: list[np.ndarray], learning_rate: float
@@ -235,7 +234,7 @@ def learn_step(
     with np.errstate(over="ignore", invalid="ignore"):
         bootstrap = target_q.forward(batch.next_obs).max(axis=1)
         targets = batch.reward + np.where(batch.terminal, 0.0, config.gamma * bootstrap)
-        grads_w, grads_b, _ = q.td_gradients(batch.obs, batch.action, targets)
+        grads_w, grads_b = q.td_gradients(batch.obs, batch.action, targets)
         q.apply_gradients(grads_w, grads_b, config.learning_rate)
         out = q.forward(batch.obs)
         diff = out[np.arange(n), batch.action] - targets
@@ -254,7 +253,7 @@ def gradient_check(
     x = s.vector()[None, :]
     actions = np.array([a], dtype=np.intp)
     targets = np.array([target], dtype=np.float64)
-    grads_w, grads_b, _ = q.td_gradients(x, actions, targets)
+    grads_w, grads_b = q.td_gradients(x, actions, targets)
     analytic = [*grads_w, *grads_b]
 
     def loss_now() -> float:
@@ -356,29 +355,22 @@ class LearningAgent(Controller):
         self.rng = np.random.default_rng(config.seed)
         self.epsilon = config.epsilon_start
         self.learning = True
-        first = net.intersections[0]
-        n_phases = len(first.phases)
-        n_features = len(first.signalized_movements)
+        # scope -> (observation size, phase count) of the intersections it serves
+        sizes = {
+            i.id: (len(i.signalized_movements) + len(i.phases), len(i.phases))
+            for i in net.intersections
+        }
         if config.shared_parameters:
-            for inter in net.intersections:
-                if (
-                    len(inter.phases) != n_phases
-                    or len(inter.signalized_movements) != n_features
-                ):
-                    raise ConfigurationError(
-                        "shared parameters require homogeneous intersections"
-                    )
-        self._scopes = (
-            ["shared"]
-            if config.shared_parameters
-            else [i.id for i in net.intersections]
-        )
-        input_size = n_features + n_phases
+            if len(set(sizes.values())) > 1:
+                raise ConfigurationError(
+                    "shared parameters require homogeneous intersections"
+                )
+            sizes = {"shared": sizes[net.intersections[0].id]}
         self.q_functions: dict[str, QFunction] = {}
         self.target_functions: dict[str, QFunction] = {}
         self.buffers: dict[str, ReplayBuffer] = {}
         self.decision_counts: dict[str, int] = {}
-        for scope in self._scopes:
+        for scope, (input_size, n_phases) in sizes.items():
             q = QFunction(input_size, n_phases, config.hidden_sizes, self.rng)
             self.q_functions[scope] = q
             self.target_functions[scope] = q.clone()
@@ -518,9 +510,10 @@ def train(
 
 
 def evaluation_travel_time(reports: Sequence[RunReport], eval_episodes: int) -> float:
-    """Headline metric: mean travel time over the last N episodes."""
+    """Headline metric: mean travel time over the last N episodes, each
+    rounded to 6 places as classical cells round theirs."""
     tail = list(reports)[-max(1, eval_episodes):]
-    return float(np.mean([r.average_travel_time for r in tail]))
+    return float(np.mean([round(r.average_travel_time, 6) for r in tail]))
 
 
 def save_parameters(agent: LearningAgent, path: str | Path) -> None:

@@ -47,11 +47,14 @@ from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Deque, Mapping, Optional, Protocol, Sequence
+from typing import TYPE_CHECKING, Callable, Deque, Mapping, Optional, Sequence
 
 import numpy as np
 
 from pressim.network import RoadNetwork
+
+if TYPE_CHECKING:  # control imports this module
+    from pressim.control import Controller
 
 _EPS = 1e-9
 _RELEASE_BLOCK = 4096  # most ticks of release schedule built at once
@@ -155,21 +158,14 @@ class SimState:
     total_queued: int = 0
     max_total_queue: int = 0
 
-    def queue_length(self, lane_id: str) -> int:
-        return len(self.queues[lane_id])
-
     def in_transit_count(self) -> int:
         return sum(len(dq) for dq in self.transit.values())
 
 
-class Controller(Protocol):
-    """What the engine needs from a signal controller."""
-
-    t_duration: float
-
-    def observe(self, state: SimState, net: RoadNetwork, intersection: str) -> object: ...
-
-    def decide(self, observation: object, intersection: str) -> int: ...
+def pick_lane(candidates: Sequence[str], load: Callable[[str], int]) -> str:
+    """Least-loaded candidate lane, ties to the first. Hot callers skip the
+    call when there is only one candidate."""
+    return min(candidates, key=load)
 
 
 @dataclass(frozen=True, slots=True)
@@ -406,7 +402,8 @@ class Simulation:
         for fi in self._releases.at(self._ticks):
             road, plan, capacity, travel_time = self._entries[fi]
             counters.spawned += 1
-            lane = self._pick_lane(plan[0])
+            lanes = plan[0]
+            lane = lanes[0] if len(lanes) == 1 else self._pick_lane(lanes)
             if len(queues[lane]) >= capacity:
                 counters.blocked += 1
                 continue
@@ -418,16 +415,8 @@ class Simulation:
             st.transit[road].append((now + travel_time, vid))
 
     def _pick_lane(self, candidates: tuple[str, ...]) -> str:
-        """Least-occupied candidate, ties to the first. Hot callers skip the
-        call when there is only one candidate."""
         queues = self.state.queues
-        best = candidates[0]
-        best_len = len(queues[best])
-        for lane in candidates[1:]:
-            n = len(queues[lane])
-            if n < best_len:
-                best, best_len = lane, n
-        return best
+        return pick_lane(candidates, lambda lane: len(queues[lane]))
 
     # -- movement along roads ----------------------------------------------
 

@@ -1,11 +1,14 @@
 """Command-line surface: subcommands, environment overrides, exit codes."""
 
+import csv
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from pressim.cli import main
+from pressim.cli import build_parser, main
 from pressim.network import load_network
 from pressim.sim import FlowSpec, load_flows, save_flows
 
@@ -166,6 +169,92 @@ def test_sweep_rejects_bad_phase_values(grid_file, flows_file, capsys):
                  "--param", "phases", "--values", "4,6", "--seeds", "0"])
     assert code == 2
     assert "4 or 8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("param, values", (("state", "ep,bogus"), ("t_duration", "10,x")))
+def test_sweep_rejects_unparsable_values(grid_file, flows_file, param, values, capsys):
+    code = main(["sweep", "--network", str(grid_file), "--flows", str(flows_file),
+                 "--param", param, "--values", values, "--seeds", "0"])
+    assert code == 2
+    assert f"bad --values for {param}" in capsys.readouterr().err
+
+
+def _detail_rows(out_dir):
+    with open(out_dir / "detail.csv", newline="") as fh:
+        return list(csv.reader(fh))[1:]
+
+
+def test_sweep_over_two_demands_equals_two_single_demand_sweeps(grid_file, tmp_path):
+    demands = ("uniform:0.08", "asymmetric:0.12,0.04")
+    common = ["sweep", "--network", str(grid_file), "--param", "phases",
+              "--values", "4,8", "--controllers", "mp,efficient-mp",
+              "--episode-length", "300", "--seeds", "0,1"]
+    assert main([*common, "--demand", *demands, "--out", str(tmp_path / "both")]) == 0
+    expected = []
+    for i, demand in enumerate(demands):
+        out_dir = tmp_path / f"single{i}"
+        assert main([*common, "--demand", demand, "--out", str(out_dir)]) == 0
+        rows = _detail_rows(out_dir)
+        # a lone profile keeps the network file's stem as the scenario label
+        assert {r[0] for r in rows} == {"grid[phases=4]", "grid[phases=8]"}
+        for label, *values in rows:
+            expected.append([label.replace("grid[", f"grid[demand={demand}][", 1), *values])
+    assert len(expected) == 16
+    assert sorted(_detail_rows(tmp_path / "both")) == sorted(expected)
+
+
+def test_sweep_without_param_runs_a_plain_matrix(grid_file, flows_file, tmp_path):
+    flags = ["--network", str(grid_file), "--flows", str(flows_file),
+             "--episode-length", "300", "--seeds", "0,1"]
+    plain = tmp_path / "plain"
+    assert main(["sweep", *flags, "--controllers", "mp,fixedtime",
+                 "--out", str(plain)]) == 0
+    rows = _detail_rows(plain)
+    assert sorted((r[0], r[1], r[2]) for r in rows) == [
+        ("grid", c, s) for c in ("fixedtime", "mp") for s in ("0", "1")
+    ]
+    single = tmp_path / "run"
+    assert main(["run", *flags, "--controller", "mp", "--out", str(single)]) == 0
+    assert [r for r in rows if r[1] == "mp"] == _detail_rows(single)
+
+
+@pytest.mark.parametrize("half", (["--param", "phases"], ["--values", "4,8"]))
+def test_sweep_param_and_values_go_together(grid_file, flows_file, half, capsys):
+    code = main(["sweep", "--network", str(grid_file), "--flows", str(flows_file),
+                 "--seeds", "0", *half])
+    assert code == 2
+    assert "--param and --values" in capsys.readouterr().err
+
+
+def test_repeated_demand_profile_exits_two(grid_file, capsys):
+    code = main(["run", "--network", str(grid_file),
+                 "--demand", "uniform:0.1", "uniform:0.1"])
+    assert code == 2
+    assert "given twice" in capsys.readouterr().err
+
+
+def test_env_var_holds_several_demand_profiles(grid_file, tmp_path, monkeypatch):
+    monkeypatch.setenv("PRESSIM_DEMAND", "uniform:0.05 uniform:0.1")
+    out_dir = tmp_path / "env"
+    assert main(["run", "--network", str(grid_file), "--controller", "fixedtime",
+                 "--episode-length", "120", "--seeds", "0", "--out", str(out_dir)]) == 0
+    assert [r[0] for r in _detail_rows(out_dir)] == [
+        "grid[demand=uniform:0.05]", "grid[demand=uniform:0.1]"
+    ]
+
+
+def test_readme_experiment_commands_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Experiments\n", 1)[1].split("\n## ", 1)[0]
+    commands = [
+        shlex.split(line)
+        for line in section.replace("\\\n", " ").splitlines()
+        if line.startswith("pressim ")
+    ]
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv[1:])
+    assert [argv[1] for argv in commands].count("sweep") == 4
 
 
 def test_env_vars_supply_missing_flags(tmp_path, monkeypatch):

@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 
 from pressim.control import (
     ControllerConfig,
-    EfficientMaxPressureController,
     FixedTimeController,
-    MaxPressureController,
+    PressureController,
     efficient_mp_decide,
     fixed_time_decide,
     make_controllers,
@@ -160,7 +159,7 @@ def test_controller_config_validation():
     with pytest.raises(ConfigurationError):
         ControllerConfig(t_duration=0)
     cfg = ControllerConfig(t_duration=10)
-    assert MaxPressureController(cfg).t_duration == 10
+    assert PressureController(cfg).t_duration == 10
 
 
 def test_make_controllers_shares_one_instance():
@@ -178,8 +177,7 @@ def test_controllers_work_at_every_intersection_of_a_grid():
         FlowSpec(("boundary:W0__n0_0", "n0_0__n0_1", "n0_1__boundary:E0"), 1, 400, 5),
         FlowSpec(("boundary:S1__n1_1", "n1_1__n0_1", "n0_1__boundary:N1"), 1, 400, 7),
     ]
-    for cls in (FixedTimeController, MaxPressureController, EfficientMaxPressureController):
-        ctrl = cls()
+    for ctrl in (FixedTimeController(), PressureController(), PressureController(efficient=True)):
         sim = Simulation(net, flows, SimConfig(episode_length=400))
         sim.run({i.id: ctrl for i in net.intersections})
         assert sim.state.counters.decisions > 0

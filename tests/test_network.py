@@ -159,28 +159,6 @@ def test_conflict_cases():
     assert movements_conflict(NL, SL) is False  # opposed lefts coexist
 
 
-def test_downstream_map_identity_or_sink():
-    net = build_grid(2, 2, 300.0, 300.0)
-    for road in net.roads:
-        for lane in road.lanes:
-            if road.src not in net.intersection_index:
-                continue  # entry roads hold no downstream entry requirement
-            if net.terminal(road.id):
-                assert net.downstream[lane.id] is None
-            else:
-                assert net.downstream[lane.id] == lane.id
-
-
-def test_validate_flags_bad_downstream_fanout():
-    net = build_grid(2, 1, 300.0, 300.0)
-    lane = net.road_index["n0_0__n1_0"].lanes[0]
-    bad = dict(net.downstream)
-    bad[lane.id] = [lane.id, lane.id]  # type: ignore[assignment]
-    broken = RoadNetwork(net.intersections, net.roads, net.phase_scheme, downstream=bad)
-    msgs = [v for v in validate(broken) if v.entity == lane.id]
-    assert any("expected exactly 1" in v.message for v in msgs)
-
-
 def test_validate_flags_conflicting_phase():
     net = build_grid(1, 1, 400.0, 400.0)
     inter = net.intersections[0]
@@ -222,7 +200,6 @@ def test_serialization_round_trip(tmp_path):
     assert validate(loaded) == []
     for rid, road in net.road_index.items():
         assert loaded.road_index[rid].heading is road.heading
-    assert loaded.downstream == net.downstream
 
 
 def test_file_format_normative_keys(tmp_path):

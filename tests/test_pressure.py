@@ -113,9 +113,8 @@ def oracle_intersection_pressure(st: SimState, net: RoadNetwork, iid: str) -> in
             if lane in inter.entering_lanes:
                 total += 1
     for lane in inter.exiting_lanes:
-        target = net.downstream[lane]
-        if target is not None:
-            total -= len(st.queues[target])
+        if not net.terminal(net.lane_index[lane][0].id):
+            total -= len(st.queues[lane])
     return total
 
 
@@ -127,8 +126,7 @@ def oracle_movement_queue_pressure(
     for lane_id in m.entering:
         idx = net.lane_index[lane_id][1].index
         paired = receiving.lanes[min(idx, len(receiving.lanes) - 1)].id
-        target = net.downstream[paired]
-        down = 0 if target is None else len(st.queues[target])
+        down = 0 if net.terminal(receiving.id) else len(st.queues[paired])
         total += len(st.queues[lane_id]) - down
     return total
 

@@ -337,6 +337,35 @@ def test_shared_parameters_require_homogeneous_intersections():
         LearningAgent(uneven, QLearnerConfig(shared_parameters=True))
 
 
+def test_private_parameters_size_each_intersection():
+    from pressim.network import PhaseScheme, RoadNetwork, validate
+
+    four = build_grid(1, 2, 300.0, 300.0, PhaseScheme.FOUR)
+    eight = build_grid(1, 2, 300.0, 300.0, PhaseScheme.EIGHT)
+    mixed = RoadNetwork(
+        [eight.intersection_index["n0_0"], four.intersection_index["n0_1"]],
+        four.roads,
+        PhaseScheme.FOUR,
+    )
+    assert validate(mixed) == []
+    flows = generate_synthetic_demand(mixed, Uniform(0.08), 0, 300.0)
+    config = QLearnerConfig(
+        episodes=2, eval_episodes=1, batch_size=8, shared_parameters=False
+    )
+    agent, reports = train(mixed, flows, config, sim_config=SimConfig(episode_length=300.0))
+    assert {s: q.output_size for s, q in agent.q_functions.items()} == {
+        "n0_0": 8,
+        "n0_1": 4,
+    }
+    assert {s: q.input_size for s, q in agent.q_functions.items()} == {
+        "n0_0": 16,
+        "n0_1": 12,
+    }
+    assert agent.losses and len(reports) == 2
+    with pytest.raises(ConfigurationError):
+        LearningAgent(mixed, QLearnerConfig(shared_parameters=True))
+
+
 def test_parameter_serialization_round_trip(tmp_path):
     rng = np.random.default_rng(9)
     q = QFunction(12, 4, (32, 32), rng)

@@ -16,6 +16,7 @@ from pressim.sim import (
     VehicleStatus,
     flows_from_list,
     load_flows,
+    pick_lane,
     save_flows,
     validate_flows,
 )
@@ -262,6 +263,13 @@ def test_capacity_gate_holds_vehicles_on_upstream_road():
         assert_conserved(sim)
         for lane, q in sim.state.queues.items():
             assert len(q) <= 2, lane
+
+
+def test_pick_lane_least_loaded_ties_to_first():
+    load = {"a": 2, "b": 1, "c": 1}.__getitem__
+    assert pick_lane(("a", "b", "c"), load) == "b"
+    assert pick_lane(("c", "b"), load) == "c"
+    assert pick_lane(("a",), load) == "a"
 
 
 def test_determinism_digest():
