@@ -6,15 +6,26 @@ innermost lane). A traffic movement describes vehicles crossing an
 intersection from its entering lanes onto the lanes of one receiving road;
 a phase pairs two non-conflicting movements that hold green together.
 Right-turn movements are never signalized and are permitted in every phase.
+
+``RoadNetwork.lane_table`` resolves every movement against the roads once
+per network: the engine, the pressure controllers and the learner all read
+these records.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional, TypeVar
+
+T = TypeVar("T")
+
+
+class ConfigurationError(ValueError):
+    """Invalid input: bad config values, files, routes, or phase ids."""
 
 
 class Turn(Enum):
@@ -170,13 +181,46 @@ def phase_table(scheme: PhaseScheme) -> tuple[tuple[tuple[Compass, Turn], tuple[
     return _FOUR_PHASE_TABLE if scheme is PhaseScheme.FOUR else _EIGHT_PHASE_TABLE
 
 
+@dataclass(frozen=True, slots=True)
+class MovementLanes:
+    """One movement resolved against the roads. ``paired`` holds the
+    downstream lane paired with each entering lane (same index on the
+    receiving road, clamped to its lane count) and ``readable`` the exiting
+    lanes, both without lanes of roads that drain to a boundary, which read
+    0; ``n_exiting`` counts every exiting lane."""
+
+    id: str
+    signalized: bool
+    entering: tuple[str, ...]
+    receiving_road: str
+    receiving_sink: bool  # the receiving road drains to a boundary
+    travel_time: float  # free-flow seconds along the receiving road
+    paired: tuple[str, ...]
+    readable: tuple[str, ...]
+    n_exiting: int
+
+
+@dataclass(frozen=True, slots=True)
+class IntersectionLanes:
+    """Every movement in movement order, the signalized ones in the same
+    order, each phase's two movements as positions in ``signalized``, the
+    entering lanes and the exiting lanes of roads not draining to a boundary."""
+
+    movements: tuple[MovementLanes, ...]
+    signalized: tuple[MovementLanes, ...]
+    phases: tuple[tuple[int, ...], ...]
+    entering: tuple[str, ...]
+    exiting: tuple[str, ...]
+
+
 class RoadNetwork:
     """Immutable after construction; safe to share across simulations.
 
     Besides the raw intersections/roads it exposes derived lookup tables:
     ``lane_index`` maps lane id to (road, lane), ``turn_between`` maps
-    connected road pairs to the turn linking them, and ``lanes_by_turn``
-    maps (road, turn) to the lanes designated for that turn.
+    connected road pairs to the turn linking them, ``lanes_by_turn`` maps
+    (road, turn) to the lanes designated for that turn, and ``lane_table``
+    maps intersection id to its resolved movements.
     """
 
     def __init__(
@@ -217,6 +261,38 @@ class RoadNetwork:
                 self.lanes_by_turn[(road.id, turn)] = tuple(
                     l.id for l in road.lanes if turn in l.designation
                 )
+
+    @functools.cached_property
+    def lane_table(self) -> dict[str, IntersectionLanes]:
+        """Built at first use, so that a malformed network still constructs
+        and ``validate`` can report on it."""
+        return {i.id: self._resolve(i) for i in self.intersections}
+
+    def _resolve(self, inter: Intersection) -> IntersectionLanes:
+        def read(lanes: Iterable[str]) -> tuple[str, ...]:
+            return tuple(l for l in lanes if not self.is_boundary(self.lane_index[l][0].dst))
+
+        movements = []
+        for m in inter.movements:
+            road = self.lane_index[m.exiting[0]][0]
+            last = len(road.lanes) - 1
+            paired = (road.lanes[min(self.lane_index[l][1].index, last)].id for l in m.entering)
+            movements.append(MovementLanes(
+                m.id, m.signalized, m.entering, road.id, self.is_boundary(road.dst),
+                road.travel_time, read(paired), read(m.exiting), len(m.exiting),
+            ))
+        signalized = tuple(ml for ml in movements if ml.signalized)
+        position = {ml.id: k for k, ml in enumerate(signalized)}
+        unknown = [mid for p in inter.phases for mid in p.movements if mid not in position]
+        if unknown:
+            raise ConfigurationError(
+                f"{inter.id}: phases name {unknown}, not signalized movements here"
+            )
+        phases = tuple(tuple(position[mid] for mid in p.movements) for p in inter.phases)
+        return IntersectionLanes(
+            tuple(movements), signalized, phases,
+            tuple(sorted(inter.entering_lanes)), read(sorted(inter.exiting_lanes)),
+        )
 
     def is_boundary(self, node: str) -> bool:
         return node not in self.intersection_index
@@ -603,6 +679,17 @@ def save_network(net: RoadNetwork, path: str | Path) -> None:
     Path(path).write_text(json.dumps(network_to_dict(net), indent=1))
 
 
+def load_json(path: str | Path, parse: Callable[[object], T]) -> T:
+    """``parse`` over a JSON file; a file that cannot be read, is not JSON
+    or that ``parse`` cannot read raises ConfigurationError."""
+    try:
+        return parse(json.loads(Path(path).read_text()))
+    except KeyError as exc:
+        raise ConfigurationError(f"{path}: missing field or unknown id {exc}") from None
+    except (OSError, ValueError, TypeError, IndexError, ArithmeticError) as exc:
+        raise ConfigurationError(f"{path}: {exc}") from None
+
+
 def load_network(path: str | Path) -> RoadNetwork:
-    return network_from_dict(json.loads(Path(path).read_text()))
+    return load_json(path, network_from_dict)
 

@@ -12,13 +12,13 @@ crossing vehicle actually joins; roads draining to a boundary read 0.
 
 Everything here is a pure function over a state snapshot and is safe to
 evaluate concurrently across intersections. The per-movement functions are
-the readable reference; ``phase_scores`` is the fast path controllers poll,
-over lane tuples resolved once per network, and returns the same values.
+the readable reference, which only tests call. ``phase_scores``, which
+controllers poll, and ``extract_state`` and ``reward``, which the learner
+reads, run over the network's ``lane_table`` and return the same values.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from enum import Enum
 from statistics import fmean
@@ -26,7 +26,14 @@ from typing import Sequence
 
 import numpy as np
 
-from pressim.network import Intersection, Phase, RoadNetwork, TrafficMovement
+from pressim.network import (
+    Intersection,
+    IntersectionLanes,
+    MovementLanes,
+    Phase,
+    RoadNetwork,
+    TrafficMovement,
+)
 from pressim.sim import ConfigurationError, SimState, pick_lane
 
 
@@ -186,53 +193,34 @@ def pressure_report(state: SimState, net: RoadNetwork, intersection: str) -> Pre
     )
 
 
-# -- phase scores from lane tuples resolved once per network ----------------
+# -- the fast path, over the network's lane table ---------------------------
 
 
-@dataclass(frozen=True)
-class _PhaseLanes:
-    """The lanes one intersection's phase scores read.
-
-    ``movements`` holds, for each movement some phase serves: its entering
-    lanes, the downstream lanes paired with them, its downstream lanes
-    (boundary sinks dropped from both, as they read 0), and its count of
-    exiting lanes. ``phases`` indexes the two movements of each phase.
-    """
-
-    movements: tuple[tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...], int], ...]
-    phases: tuple[tuple[int, int], ...]
-
-
-# Derived from networks, which are immutable, and held weakly: an entry
-# lives as long as its network.
-_PHASE_LANES: weakref.WeakKeyDictionary[RoadNetwork, dict[str, _PhaseLanes]] = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def _resolve_phase_lanes(net: RoadNetwork, inter: Intersection) -> _PhaseLanes:
-    def read(lanes) -> tuple[str, ...]:
-        return tuple(l for l in lanes if not net.is_boundary(net.lane_index[l][0].dst))
-
-    served = list(dict.fromkeys(mid for p in inter.phases for mid in p.movements))
-    movements = []
-    for mid in served:
-        m = net.movement_index[mid]
-        paired = read(_paired_exit_lane(net, m, l) for l in m.entering)
-        movements.append((m.entering, paired, read(m.exiting), len(m.exiting)))
-    phases = tuple(tuple(served.index(mid) for mid in p.movements) for p in inter.phases)
-    return _PhaseLanes(tuple(movements), phases)
-
-
-def _phase_lanes(net: RoadNetwork, intersection: str) -> _PhaseLanes:
-    tables = _PHASE_LANES.get(net)
-    if tables is None:
-        tables = {i.id: _resolve_phase_lanes(net, i) for i in net.intersections}
-        _PHASE_LANES[net] = tables
+def _lanes(net: RoadNetwork, intersection: str) -> IntersectionLanes:
+    table = net.lane_table
     try:
-        return tables[intersection]
+        return table[intersection]
     except KeyError:
         raise ConfigurationError(f"unknown intersection {intersection!r}") from None
+
+
+def _movement_scores(
+    state: SimState, movements: Sequence[MovementLanes], efficient: bool
+) -> list:
+    """``movement_queue_pressure``, or ``etm_efficient_pressure`` with
+    ``efficient``, per movement. An efficient pressure is summed as the
+    reference sums it: ``sum / n`` of integer queues equals their ``fmean``."""
+    queue = state.queues.__getitem__  # sum(map(len, map(queue, ls))): total queue
+    if efficient:
+        return [
+            sum(map(len, map(queue, m.entering))) / len(m.entering)
+            - sum(map(len, map(queue, m.readable))) / m.n_exiting
+            for m in movements
+        ]
+    return [
+        sum(map(len, map(queue, m.entering))) - sum(map(len, map(queue, m.paired)))
+        for m in movements
+    ]
 
 
 def phase_scores(
@@ -241,23 +229,10 @@ def phase_scores(
     """Per-phase pressures, or efficient pressures with ``efficient``.
 
     Equal, value for value, to ``pressure_report``'s ``phase_pressures`` and
-    ``phase_efficient_pressures``. An efficient pressure is summed exactly
-    as the reference sums it: ``sum / n`` of integer queues equals their
-    ``fmean``, then entering minus exiting, then movement a plus b.
+    ``phase_efficient_pressures``: movement a plus movement b.
     """
-    lanes = _phase_lanes(net, intersection)
-    queue = state.queues.__getitem__  # sum(map(len, map(queue, ls))): total queue
-    if efficient:
-        score = [
-            sum(map(len, map(queue, entering))) / len(entering)
-            - sum(map(len, map(queue, down))) / n_exiting
-            for entering, _, down, n_exiting in lanes.movements
-        ]
-    else:
-        score = [
-            sum(map(len, map(queue, entering))) - sum(map(len, map(queue, paired)))
-            for entering, paired, _, _ in lanes.movements
-        ]
+    lanes = _lanes(net, intersection)
+    score = _movement_scores(state, lanes.signalized, efficient)
     return tuple(score[a] + score[b] for a, b in lanes.phases)
 
 
@@ -282,78 +257,46 @@ def report_rows(report: PressureReport, tick: float) -> list[tuple]:
 # -- observation vectors for learning controllers ---------------------------
 
 
-@dataclass(frozen=True)
-class StateVector:
-    intersection: str
-    kind: StateKind
-    phase_onehot: tuple[float, ...]
-    features: tuple[float, ...]
-
-    def vector(self) -> np.ndarray:
-        return np.asarray(self.features + self.phase_onehot, dtype=np.float64)
-
-    def __len__(self) -> int:
-        return len(self.features) + len(self.phase_onehot)
-
-
-def _movement_nv(stats_cache: dict[str, dict[str, int]], state, net, road_id: str) -> dict[str, int]:
-    if road_id not in stats_cache:
-        stats_cache[road_id] = {
-            s.lane: s.vehicles for s in lane_stats(state, net, road_id)
-        }
-    return stats_cache[road_id]
-
-
 def extract_state(
     state: SimState, net: RoadNetwork, intersection: str, kind: StateKind
-) -> StateVector:
-    """Observation for one intersection: per-movement features plus the
-    current-phase one-hot. Feature order follows the signalized movements."""
+) -> np.ndarray:
+    """Observation for one intersection as one float64 vector: a feature per
+    signalized movement, in movement order, then the current-phase one-hot."""
     if not isinstance(kind, StateKind):
         raise ConfigurationError(f"unknown state kind {kind!r}")
-    inter = _require_intersection(net, intersection)
-    sig = state.signals[intersection]
-    onehot = tuple(
-        1.0 if p.id == sig.active else 0.0 for p in inter.phases
-    )
-    nv_cache: dict[str, dict[str, int]] = {}
-    features: list[float] = []
-    for m in inter.signalized_movements:
-        if kind is StateKind.NV:
-            road_id = net.lane_index[m.entering[0]][0].id
-            nv = _movement_nv(nv_cache, state, net, road_id)
-            features.append(float(sum(nv[l] for l in m.entering)))
-        elif kind is StateKind.PRESSURE_NV:
-            road_id = net.lane_index[m.entering[0]][0].id
-            nv_in = _movement_nv(nv_cache, state, net, road_id)
-            recv = net.lane_index[m.exiting[0]][0]
-            total = 0
-            for l in m.entering:
-                paired = _paired_exit_lane(net, m, l)
-                if net.terminal(recv.id):
-                    down = 0
-                else:
-                    down = _movement_nv(nv_cache, state, net, recv.id)[paired]
-                total += nv_in[l] - down
-            features.append(float(total))
-        elif kind is StateKind.PRESSURE_QUEUE:
-            features.append(float(movement_queue_pressure(state, net, m)))
-        else:
-            features.append(etm_efficient_pressure(state, net, m))
-    return StateVector(
-        intersection=intersection,
-        kind=kind,
-        phase_onehot=onehot,
-        features=tuple(features),
-    )
+    lanes = _lanes(net, intersection)
+    movements = lanes.signalized
+    if kind is StateKind.PRESSURE_QUEUE or kind is StateKind.EFFICIENT_PRESSURE:
+        features = _movement_scores(state, movements, kind is StateKind.EFFICIENT_PRESSURE)
+    else:  # vehicle counts: queued plus in transit, from each road's lane_stats
+        downstream = kind is StateKind.PRESSURE_NV
+        roads = {net.lane_index[l][0].id for m in movements for l in m.entering}
+        if downstream:  # paired lanes, when there are any, are on the receiving road
+            roads.update(m.receiving_road for m in movements if m.paired)
+        vehicles: dict[str, int] = {}
+        for road in roads:
+            vehicles.update((s.lane, s.vehicles) for s in lane_stats(state, net, road))
+        count = vehicles.__getitem__
+        features = [
+            sum(map(count, m.entering)) - (sum(map(count, m.paired)) if downstream else 0)
+            for m in movements
+        ]
+    obs = np.zeros(len(movements) + len(lanes.phases))
+    obs[: len(movements)] = features
+    obs[len(movements) + state.signals[intersection].active] = 1.0
+    return obs
 
 
 def reward(
     state: SimState, net: RoadNetwork, intersection: str, kind: RewardKind
 ) -> float:
-    if kind is RewardKind.NEG_INTERSECTION_PRESSURE:
-        return -abs(intersection_pressure(state, net, intersection))
+    """Negated magnitude of the intersection pressure, or the negated total
+    entering queue."""
+    if not isinstance(kind, RewardKind):
+        raise ConfigurationError(f"unknown reward kind {kind!r}")
+    lanes = _lanes(net, intersection)
+    queue = state.queues.__getitem__
+    entering = sum(map(len, map(queue, lanes.entering)))
     if kind is RewardKind.NEG_QUEUE_LENGTH:
-        inter = _require_intersection(net, intersection)
-        return -float(sum(len(state.queues[l]) for l in inter.entering_lanes))
-    raise ConfigurationError(f"unknown reward kind {kind!r}")
+        return -float(entering)
+    return -abs(entering - sum(map(len, map(queue, lanes.exiting))))

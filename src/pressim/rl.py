@@ -28,13 +28,7 @@ import numpy as np
 from pressim.bench import RunReport, report_from_sim, run_episode
 from pressim.control import Controller, ControllerConfig
 from pressim.network import RoadNetwork
-from pressim.pressure import (
-    RewardKind,
-    StateKind,
-    StateVector,
-    extract_state,
-    reward,
-)
+from pressim.pressure import RewardKind, StateKind, extract_state, reward
 from pressim.sim import ConfigurationError, FlowSpec, SimConfig, Simulation, SimState
 
 
@@ -245,12 +239,12 @@ def learn_step(
 
 
 def gradient_check(
-    q: QFunction, s: StateVector, a: int, target: float, step: float = 1e-5
+    q: QFunction, s: np.ndarray, a: int, target: float, step: float = 1e-5
 ) -> float:
     """Max relative error between analytic and central-difference gradients
     of the squared TD error, measured per parameter tensor as
     ``|analytic - numeric| / (|analytic| + |numeric|)`` in the 2-norm."""
-    x = s.vector()[None, :]
+    x = np.asarray(s, dtype=np.float64)[None, :]
     actions = np.array([a], dtype=np.intp)
     targets = np.array([target], dtype=np.float64)
     grads_w, grads_b = q.td_gradients(x, actions, targets)
@@ -354,18 +348,17 @@ class LearningAgent(Controller):
         self.qconfig = config
         self.rng = np.random.default_rng(config.seed)
         self.epsilon = config.epsilon_start
-        self.learning = True
         # scope -> (observation size, phase count) of the intersections it serves
         sizes = {
-            i.id: (len(i.signalized_movements) + len(i.phases), len(i.phases))
-            for i in net.intersections
+            iid: (len(lanes.signalized) + len(lanes.phases), len(lanes.phases))
+            for iid, lanes in net.lane_table.items()
         }
         if config.shared_parameters:
             if len(set(sizes.values())) > 1:
                 raise ConfigurationError(
                     "shared parameters require homogeneous intersections"
                 )
-            sizes = {"shared": sizes[net.intersections[0].id]}
+            sizes = {"shared": next(iter(sizes.values()))}
         self.q_functions: dict[str, QFunction] = {}
         self.target_functions: dict[str, QFunction] = {}
         self.buffers: dict[str, ReplayBuffer] = {}
@@ -395,9 +388,8 @@ class LearningAgent(Controller):
     # Controller interface ---------------------------------------------------
 
     def observe(self, state: SimState, net: RoadNetwork, intersection: str):
-        sv = extract_state(state, net, intersection, self.qconfig.state_kind)
-        r = reward(state, net, intersection, self.qconfig.reward_kind)
-        return (sv.vector(), r)
+        obs = extract_state(state, net, intersection, self.qconfig.state_kind)
+        return (obs, reward(state, net, intersection, self.qconfig.reward_kind))
 
     def decide(self, observation, intersection: str) -> int:
         obs, r = observation
@@ -428,10 +420,8 @@ class LearningAgent(Controller):
         self, scope: str, obs, action: int, r: float, next_obs, terminal: bool
     ) -> None:
         self._episode_return += r
-        self.buffers[scope].push(obs, action, r, next_obs, terminal)
-        if not self.learning:
-            return
         buf = self.buffers[scope]
+        buf.push(obs, action, r, next_obs, terminal)
         if len(buf) >= self.qconfig.batch_size:
             batch = buf.sample(self.qconfig.batch_size, self.rng)
             _, loss = learn_step(
@@ -467,9 +457,9 @@ class QPolicyController(Controller):
     def observe(self, state: SimState, net: RoadNetwork, intersection: str):
         return extract_state(state, net, intersection, self.state_kind)
 
-    def decide(self, observation: StateVector, intersection: str) -> int:
+    def decide(self, observation: np.ndarray, intersection: str) -> int:
         scope = "shared" if self.shared else intersection
-        values = self.q_functions[scope].forward(observation.vector())
+        values = self.q_functions[scope].forward(observation)
         return int(np.argmax(values))
 
 

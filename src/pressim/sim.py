@@ -17,8 +17,9 @@ Unsignalized right turns discharge in every phase and during transitions.
 The engine draws no random numbers: identical inputs give identical
 trajectories tick for tick.
 
-Everything static is resolved once per ``Simulation``, and the tick loop
-runs over these tables instead of the network's lookup dicts:
+Everything static is resolved once per ``Simulation``, from the network's
+``lane_table`` and the configured lane capacities, and the tick loop runs
+over these tables instead of the network's lookup dicts:
 
 - a hop plan per flow: for each route position, the stop-line lanes
   designated for the vehicle's next turn (``None`` on the last road, which
@@ -51,7 +52,8 @@ from typing import TYPE_CHECKING, Callable, Deque, Mapping, Optional, Sequence
 
 import numpy as np
 
-from pressim.network import RoadNetwork
+# ConfigurationError is defined with the network and re-exported from here
+from pressim.network import ConfigurationError, MovementLanes, RoadNetwork, load_json
 
 if TYPE_CHECKING:  # control imports this module
     from pressim.control import Controller
@@ -60,8 +62,8 @@ _EPS = 1e-9
 _RELEASE_BLOCK = 4096  # most ticks of release schedule built at once
 
 
-class ConfigurationError(ValueError):
-    """Invalid simulation input: bad config values, routes, or phase ids."""
+# a movement served on a tick, with the queue capacity of its receiving lanes
+_Served = tuple[MovementLanes, int]
 
 
 @dataclass(frozen=True)
@@ -168,16 +170,6 @@ def pick_lane(candidates: Sequence[str], load: Callable[[str], int]) -> str:
     return min(candidates, key=load)
 
 
-@dataclass(frozen=True, slots=True)
-class _MovementMeta:
-    id: str
-    entering: tuple[str, ...]
-    receiving_road: str
-    receiving_terminal: bool
-    receiving_capacity: int  # queue capacity of each receiving lane
-    receiving_travel_time: float
-
-
 def release_schedule(
     flows: Sequence[FlowSpec], tick: float, clock: float, ticks: int
 ) -> tuple[np.ndarray, np.ndarray, float]:
@@ -277,29 +269,14 @@ class Simulation:
         self._phase_count = {i.id: len(i.phases) for i in net.intersections}
         # per intersection: the movements each phase serves, and those served
         # during a transition, in movement order
-        self._served: list[
-            tuple[str, tuple[tuple[_MovementMeta, ...], ...], tuple[_MovementMeta, ...]]
-        ] = []
+        self._served: list[tuple[str, tuple[tuple[_Served, ...], ...], tuple[_Served, ...]]] = []
         for inter in net.intersections:
-            metas = []
-            for m in inter.movements:
-                recv_road = net.lane_index[m.exiting[0]][0]
-                metas.append(
-                    _MovementMeta(
-                        id=m.id,
-                        entering=m.entering,
-                        receiving_road=recv_road.id,
-                        receiving_terminal=net.terminal(recv_road.id),
-                        receiving_capacity=capacity[recv_road.id],
-                        receiving_travel_time=recv_road.travel_time,
-                    )
-                )
-            pairs = list(zip(inter.movements, metas))
+            served = [(m, capacity[m.receiving_road]) for m in net.lane_table[inter.id].movements]
             by_phase = tuple(
-                tuple(meta for m, meta in pairs if not m.signalized or m.id in p.movements)
+                tuple(s for s in served if not s[0].signalized or s[0].id in p.movements)
                 for p in inter.phases
             )
-            in_transition = tuple(meta for m, meta in pairs if not m.signalized)
+            in_transition = tuple(s for s in served if not s[0].signalized)
             self._served.append((inter.id, by_phase, in_transition))
 
         plans = {f.route: self._hop_plan(f.route) for f in self.flows}
@@ -474,7 +451,7 @@ class Simulation:
         for iid, by_phase, in_transition in self._served:
             sig = signals[iid]
             served = by_phase[sig.active] if sig.transition is None else in_transition
-            for m in served:
+            for m, capacity in served:
                 c = credit[m.id]
                 for lane_id in m.entering:
                     if queues[lane_id]:
@@ -485,11 +462,11 @@ class Simulation:
                         credit[m.id] = c if c < 1.0 else 1.0
                     continue
                 c += gain
-                while c >= ready and self._serve_one(m):
+                while c >= ready and self._serve_one(m, capacity):
                     c -= 1.0
                 credit[m.id] = c if c < 1.0 else 1.0
 
-    def _serve_one(self, m: _MovementMeta) -> bool:
+    def _serve_one(self, m: MovementLanes, capacity: int) -> bool:
         st = self.state
         queues = st.queues
         for lane_id in m.entering:
@@ -500,17 +477,17 @@ class Simulation:
             pos = v.route_pos + 1
             if v.route[pos] != m.receiving_road:
                 continue
-            if not m.receiving_terminal:
+            if not m.receiving_sink:
                 lanes = v.plan[pos]
                 target = lanes[0] if len(lanes) == 1 else self._pick_lane(lanes)
-                if len(queues[target]) >= m.receiving_capacity:
+                if len(queues[target]) >= capacity:
                     continue
             q.popleft()
             st.total_queued -= 1
             v.route_pos = pos
             v.status = VehicleStatus.IN_TRANSIT
             st.transit[m.receiving_road].append(
-                (st.clock + m.receiving_travel_time, v.id)
+                (st.clock + m.travel_time, v.id)
             )
             return True
         return False
@@ -629,4 +606,4 @@ def save_flows(flows: list[FlowSpec], path: str | Path) -> None:
 
 
 def load_flows(path: str | Path) -> list[FlowSpec]:
-    return flows_from_list(json.loads(Path(path).read_text()))
+    return load_json(path, flows_from_list)

@@ -31,7 +31,6 @@ from pressim.network import PhaseScheme, build_grid
 from pressim.pressure import (
     PressureReport,
     StateKind,
-    StateVector,
     efficient_pressure,
     movement_pressure,
     phase_pressure,
@@ -347,15 +346,11 @@ def test_09_gradient_check():
         hidden = tuple(int(rng.integers(4, 33)) for _ in range(int(rng.integers(1, 3))))
         q = QFunction(n_features + n_phases, n_phases, hidden, rng)
         onehot = tuple(1.0 if i == 0 else 0.0 for i in range(n_phases))
-        sv = StateVector(
-            intersection="i",
-            kind=StateKind.EFFICIENT_PRESSURE,
-            phase_onehot=onehot,
-            features=tuple(float(v) for v in rng.normal(0.0, 5.0, n_features)),
-        )
+        features = tuple(float(v) for v in rng.normal(0.0, 5.0, n_features))
+        obs = np.array(features + onehot, dtype=np.float64)
         action = int(rng.integers(0, n_phases))
         target = float(rng.normal(0.0, 10.0))
-        worst = max(worst, gradient_check(q, sv, action, target))
+        worst = max(worst, gradient_check(q, obs, action, target))
     _verdict(9, "analytic gradients match finite differences", worst < 1e-4,
              f"max relative error {worst:.2e} (tolerance 1e-4)")
 

@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, environment overrides, exit codes."""
 
 import csv
+import json
 import shlex
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from pressim.cli import build_parser, main
-from pressim.network import load_network
+from pressim.network import build_grid, load_network, network_from_dict, network_to_dict, validate
 from pressim.sim import FlowSpec, load_flows, save_flows
 
 
@@ -150,6 +151,53 @@ def test_bad_flag_value_exits_two(grid_file, flows_file):
         main(["run", "--network", str(grid_file), "--flows", str(flows_file),
               "--controller", "webster"])
     assert exc.value.code == 2
+
+
+def test_phase_naming_an_unknown_movement_exits_two(tmp_path, capsys):
+    doc = network_to_dict(build_grid(1, 1, 300.0, 300.0))
+    doc["intersections"][0]["phases"][0]["movements"][0] = "n0_0:XX"
+    assert any(
+        "unknown movement" in v.message for v in validate(network_from_dict(doc))
+    )
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(doc))
+    code = main(["run", "--network", str(path), "--demand", "uniform:0.1",
+                 "--episode-length", "60", "--seeds", "0"])
+    assert code == 2
+    assert "unknown movement" in capsys.readouterr().err
+
+
+def _drop_start(path):
+    flows = json.loads(path.read_text())
+    del flows[0]["start_s"]
+    path.write_text(json.dumps(flows))
+
+
+def _drop_phase_scheme(path):
+    doc = json.loads(path.read_text())
+    del doc["phase_scheme"]
+    path.write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["flow-without-start", "network-without-phase-scheme", "network-not-json",
+     "network-missing"],
+)
+def test_malformed_input_exits_two(case, grid_file, flows_file, capsys):
+    if case == "flow-without-start":
+        _drop_start(flows_file)
+    elif case == "network-without-phase-scheme":
+        _drop_phase_scheme(grid_file)
+    elif case == "network-not-json":
+        grid_file.write_text("{not json")
+    else:
+        grid_file.unlink()
+    code = main(["run", "--network", str(grid_file), "--flows", str(flows_file),
+                 "--episode-length", "60", "--seeds", "0"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and "Traceback" not in err
 
 
 def test_sweep_t_duration(grid_file, flows_file, tmp_path, capsys):

@@ -1,8 +1,9 @@
 """The engine's precomputed paths against the readable reference.
 
-``phase_scores`` must return exactly (``==``, not approximately) what
-``pressure_report`` computes, and ``release_schedule`` must pick exactly
-the ticks the per-tick release predicate picks on the accumulated clock.
+``phase_scores``, ``extract_state`` and ``reward`` must return exactly
+(``==``, not approximately) what the reference functions compute, and
+``release_schedule`` must pick exactly the ticks the per-tick release
+predicate picks on the accumulated clock.
 """
 
 from __future__ import annotations
@@ -14,7 +15,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pressim.network import PhaseScheme, build_grid
-from pressim.pressure import phase_scores, pressure_report
+from pressim.pressure import (
+    RewardKind,
+    StateKind,
+    etm_efficient_pressure,
+    extract_state,
+    intersection_pressure,
+    movement_queue_pressure,
+    phase_scores,
+    pressure_report,
+    reward,
+)
 from pressim.sim import (
     ConfigurationError,
     FlowSpec,
@@ -43,6 +54,7 @@ def _state(net, counts) -> SimState:
 @settings(max_examples=40, deadline=None)
 @given(data=st.data(), grid=st.sampled_from(sorted(_GRIDS, key=str)))
 def test_phase_scores_equal_pressure_report(data, grid):
+    """And the learner's pressure features and rewards equal theirs."""
     # a 3x3 grid has one intersection whose receiving roads are all interior
     # and eight whose receiving roads partly drain to a boundary
     net = _GRIDS[grid]
@@ -55,6 +67,21 @@ def test_phase_scores_equal_pressure_report(data, grid):
         assert phase_scores(state, net, inter.id) == report.phase_pressures
         assert phase_scores(state, net, inter.id, efficient=True) == (
             report.phase_efficient_pressures
+        )
+        movements = inter.signalized_movements
+        pq = extract_state(state, net, inter.id, StateKind.PRESSURE_QUEUE)
+        assert list(pq[: len(movements)]) == [
+            movement_queue_pressure(state, net, m) for m in movements
+        ]
+        ep = extract_state(state, net, inter.id, StateKind.EFFICIENT_PRESSURE)
+        assert list(ep[: len(movements)]) == [
+            etm_efficient_pressure(state, net, m) for m in movements
+        ]
+        assert reward(state, net, inter.id, RewardKind.NEG_INTERSECTION_PRESSURE) == (
+            -abs(intersection_pressure(state, net, inter.id))
+        )
+        assert reward(state, net, inter.id, RewardKind.NEG_QUEUE_LENGTH) == -sum(
+            len(state.queues[l]) for l in inter.entering_lanes
         )
 
 

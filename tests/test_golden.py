@@ -21,6 +21,7 @@ import pytest
 from pressim.bench import Asymmetric, Peaked, Uniform, generate_synthetic_demand, run_episode
 from pressim.control import ControllerConfig, make_controllers
 from pressim.network import PhaseScheme, build_grid
+from pressim.pressure import RewardKind, StateKind
 from pressim.rl import QLearnerConfig, save_parameters, train
 from pressim.sim import FlowSpec, SimConfig, Simulation
 
@@ -124,6 +125,33 @@ LEARNER = {
     "2x2-private-parameters": (
         2, 2, {"episodes": 2, "batch_size": 16, "shared_parameters": False},
         "456a693629c8448c8d74b53c9d8b9402df5490aedf90c76903e640f265af6314", 201,
+    ),
+    # one pin per state kind; on 1x1 every exit drains to a boundary, so the
+    # two reward kinds give the same hash there
+    "1x1-nv": (
+        1, 1, {"episodes": 3, "batch_size": 8, "state_kind": StateKind.NV},
+        "6f854eb4c625a7c74f7beb78e933514ee13f81803442327045c32d48c7140411", 91,
+    ),
+    "1x1-pressure-nv": (
+        1, 1, {"episodes": 3, "batch_size": 8, "state_kind": StateKind.PRESSURE_NV},
+        "caeb06e3aed5617000e7730d150c0ed508dbc3a588d87152849f8da107ed6494", 91,
+    ),
+    "1x1-pressure-queue": (
+        1, 1, {"episodes": 3, "batch_size": 8, "state_kind": StateKind.PRESSURE_QUEUE},
+        "4eafe3afd64dff146e96aaa978275fd3db28efbaf444b77dd4dd3ea898663f55", 91,
+    ),
+    "2x2-queue-reward": (
+        2, 2, {"episodes": 2, "batch_size": 16, "reward_kind": RewardKind.NEG_QUEUE_LENGTH},
+        "9e578d14d732fd9f90c19bcf5b6e11ae107ec509aa640be0cbd1d0fe1a4b707b", 245,
+    ),
+    # interior receiving roads: downstream vehicle counts are read
+    "2x2-pressure-nv-queue-reward": (
+        2, 2,
+        {
+            "episodes": 2, "batch_size": 16, "state_kind": StateKind.PRESSURE_NV,
+            "reward_kind": RewardKind.NEG_QUEUE_LENGTH,
+        },
+        "d1fd334650bbf550a23ff8977443aa82a613df8046dc432c2aed1be362545029", 243,
     ),
 }
 

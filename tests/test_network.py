@@ -1,13 +1,19 @@
 from __future__ import annotations
 
+import copy
 import dataclasses
+import functools
 import json
+import operator
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pressim.network import (
+    ConfigurationError,
     Compass,
     Lane,
     PhaseScheme,
@@ -25,6 +31,7 @@ from pressim.network import (
     validate,
     with_phase_scheme,
 )
+from pressim.sim import FlowSpec, flows_to_list, load_flows
 
 
 def test_compass_geometry():
@@ -246,3 +253,63 @@ def test_build_grid_rejects_bad_arguments():
 def test_travel_time():
     net = build_grid(1, 2, 500.0, 300.0, speed_mps=10.0)
     assert net.road_index["n0_0__n0_1"].travel_time == pytest.approx(50.0)
+
+
+# -- malformed files --------------------------------------------------------
+
+_NETWORK_DOC = network_to_dict(build_grid(1, 1, 300.0, 300.0, lanes_per_approach=1))
+_FLOWS_DOC = flows_to_list(
+    [FlowSpec(("boundary:W0__n0_0", "n0_0__boundary:E0"), 1.0, 60.0, 4.0)]
+)
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: (
+        st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3)
+    ),
+    max_leaves=6,
+)
+
+
+def _paths(doc, prefix=()):
+    """Every key path into a JSON document, the empty path first."""
+    yield prefix
+    if isinstance(doc, dict):
+        items = doc.items()
+    else:
+        items = enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _paths(value, (*prefix, key))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    which=st.sampled_from(["network", "flows"]),
+    how=st.sampled_from(["delete", "replace", "truncate"]),
+)
+def test_loaders_raise_only_configuration_errors(data, which, how):
+    """A file with one field deleted or replaced by any JSON value, or cut
+    short, either loads or raises ConfigurationError."""
+    doc, load = (_NETWORK_DOC, load_network) if which == "network" else (_FLOWS_DOC, load_flows)
+    doc = copy.deepcopy(doc)
+    path = data.draw(st.sampled_from(list(_paths(doc))))
+    if how == "truncate":
+        text = json.dumps(doc)
+        text = text[: data.draw(st.integers(0, len(text) - 1))]
+    else:
+        if not path:
+            doc = data.draw(_json)
+        else:
+            parent = functools.reduce(operator.getitem, path[:-1], doc)
+            if how == "delete":
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = data.draw(_json)
+        text = json.dumps(doc)
+    with tempfile.TemporaryDirectory() as tmp:
+        file = Path(tmp) / f"{which}.json"
+        file.write_text(text)
+        try:
+            load(file)
+        except ConfigurationError:
+            pass

@@ -43,6 +43,12 @@ def make_state(net: RoadNetwork, queues: dict[str, int] | None = None) -> SimSta
     return st
 
 
+def split(obs, net: RoadNetwork, intersection: str) -> tuple[tuple, tuple]:
+    """An observation's movement features and its phase one-hot."""
+    n_phases = len(net.intersection_index[intersection].phases)
+    return tuple(obs[:-n_phases]), tuple(obs[-n_phases:])
+
+
 def add_transit(st: SimState, net: RoadNetwork, road_id: str, next_road: str) -> None:
     vid = max(st.vehicles, default=-1) + 1
     st.vehicles[vid] = Vehicle(
@@ -217,11 +223,12 @@ def test_extract_state_shapes_and_onehot():
     stt = make_state(net)
     stt.signals["n0_0"].active = 2
     for kind in StateKind:
-        sv = extract_state(stt, net, "n0_0", kind)
-        assert len(sv.features) == 8
-        assert sv.phase_onehot == (0.0, 0.0, 1.0, 0.0)
-        assert sv.features == (0.0,) * 8
-        assert sv.vector().shape == (12,)
+        obs = extract_state(stt, net, "n0_0", kind)
+        features, onehot = split(obs, net, "n0_0")
+        assert len(features) == 8
+        assert onehot == (0.0, 0.0, 1.0, 0.0)
+        assert features == (0.0,) * 8
+        assert obs.shape == (12,)
 
 
 def test_extract_state_nv_counts_queued_plus_in_transit():
@@ -229,10 +236,10 @@ def test_extract_state_nv_counts_queued_plus_in_transit():
     road = "boundary:N0__n0_0"
     stt = make_state(net, {f"{road}#1": 2})
     add_transit(stt, net, road, "n0_0__boundary:S0")
-    sv = extract_state(stt, net, "n0_0", StateKind.NV)
+    features, _ = split(extract_state(stt, net, "n0_0", StateKind.NV), net, "n0_0")
     inter = net.intersection_index["n0_0"]
     order = [m.id for m in inter.signalized_movements]
-    assert sv.features[order.index("n0_0:NT")] == 3.0
+    assert features[order.index("n0_0:NT")] == 3.0
 
 
 def test_extract_state_pressure_nv_reads_downstream_vehicles():
@@ -241,20 +248,22 @@ def test_extract_state_pressure_nv_reads_downstream_vehicles():
     mid_road = "n0_0__n0_1"
     stt = make_state(net, {f"{road_in}#1": 5, f"{mid_road}#1": 1})
     add_transit(stt, net, mid_road, "n0_1__boundary:E0")  # transit on receiving road
-    sv = extract_state(stt, net, "n0_0", StateKind.PRESSURE_NV)
+    features, _ = split(extract_state(stt, net, "n0_0", StateKind.PRESSURE_NV), net, "n0_0")
     inter = net.intersection_index["n0_0"]
     order = [m.id for m in inter.signalized_movements]
     # 5 entering vehicles minus (1 queued + 1 in transit) downstream
-    assert sv.features[order.index("n0_0:WT")] == 3.0
+    assert features[order.index("n0_0:WT")] == 3.0
 
 
 def test_singleton_lane_sets_collapse_ep_to_queue_pressure():
     net = build_grid(2, 2, 300.0, 300.0, lanes_per_approach=1)
     stt = make_state(net, {l: (i * 7) % 5 for i, l in enumerate(sorted(net.lane_index))})
     for inter in net.intersections:
-        pq = extract_state(stt, net, inter.id, StateKind.PRESSURE_QUEUE)
-        ep = extract_state(stt, net, inter.id, StateKind.EFFICIENT_PRESSURE)
-        assert pq.features == pytest.approx(ep.features)
+        pq, _ = split(extract_state(stt, net, inter.id, StateKind.PRESSURE_QUEUE), net, inter.id)
+        ep, _ = split(
+            extract_state(stt, net, inter.id, StateKind.EFFICIENT_PRESSURE), net, inter.id
+        )
+        assert pq == pytest.approx(ep)
 
 
 @settings(max_examples=25, deadline=None)
@@ -348,7 +357,8 @@ def test_extract_state_eight_phase_onehot_width():
 
     net = build_grid(1, 1, 400.0, 400.0, PhaseScheme.EIGHT)
     stt = make_state(net)
-    sv = extract_state(stt, net, "n0_0", StateKind.EFFICIENT_PRESSURE)
-    assert len(sv.phase_onehot) == 8
-    assert len(sv.features) == 8
-    assert len(sv) == 16
+    obs = extract_state(stt, net, "n0_0", StateKind.EFFICIENT_PRESSURE)
+    features, onehot = split(obs, net, "n0_0")
+    assert len(onehot) == 8
+    assert len(features) == 8
+    assert len(obs) == 16

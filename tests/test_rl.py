@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from pressim.bench import Uniform, generate_synthetic_demand
 from pressim.network import build_grid
-from pressim.pressure import RewardKind, StateKind, StateVector
 from pressim.rl import (
     Batch,
     LearningAgent,
@@ -29,13 +28,9 @@ from pressim.rl import (
 from pressim.sim import ConfigurationError, SimConfig, Simulation
 
 
-def sv(features, onehot=()) -> StateVector:
-    return StateVector(
-        intersection="x",
-        kind=StateKind.NV,
-        phase_onehot=tuple(float(v) for v in onehot),
-        features=tuple(float(v) for v in features),
-    )
+def sv(features, onehot=()) -> np.ndarray:
+    """An observation vector: movement features, then the phase one-hot."""
+    return np.array([*features, *onehot], dtype=np.float64)
 
 
 def batch(*rows) -> Batch:
@@ -158,7 +153,7 @@ def test_bellman_fixed_point_matches_value_iteration():
         learn_step(q, target, transitions, cfg)
         if (step + 1) % cfg.target_sync_interval == 0:
             q.copy_into(target)
-    learned = np.array([q.forward(sv([1, 0]).vector()), q.forward(sv([0, 1]).vector())])
+    learned = np.array([q.forward(sv([1, 0])), q.forward(sv([0, 1]))])
     assert np.max(np.abs(learned - oracle) / np.abs(oracle)) < 0.05
 
 
