@@ -247,13 +247,15 @@ class RoadNetwork:
             m.id: m for i in self.intersections for m in i.movements
         }
 
-        # (entry road, exit road) -> turn
+        # (entry road, exit road) -> turn, from the movements whose first
+        # entering and first exiting lane resolve; validate reports the rest
         self.turn_between: dict[tuple[str, str], Turn] = {}
         for inter in self.intersections:
             for m in inter.movements:
-                entry_road = self.lane_index[m.entering[0]][0].id
-                exit_road = self.lane_index[m.exiting[0]][0].id
-                self.turn_between[(entry_road, exit_road)] = m.turn
+                entry = self.lane_index.get(m.entering[0]) if m.entering else None
+                exit_ = self.lane_index.get(m.exiting[0]) if m.exiting else None
+                if entry and exit_:
+                    self.turn_between[(entry[0].id, exit_[0].id)] = m.turn
 
         self.lanes_by_turn: dict[tuple[str, Turn], tuple[str, ...]] = {}
         for road in self.roads:
@@ -357,7 +359,12 @@ def validate(net: RoadNetwork) -> list[Violation]:
                 out.append(Violation(m.id, "entering lanes not in intersection"))
             if not set(m.exiting) <= inter.exiting_lanes:
                 out.append(Violation(m.id, "exiting lanes not in intersection"))
+            unknown = [l for l in (*m.entering, *m.exiting) if l not in net.lane_index]
+            if unknown:
+                out.append(Violation(m.id, f"unknown lanes {unknown}"))
             for lane_id in m.entering:
+                if lane_id in unknown:
+                    continue
                 lane = net.lane_index[lane_id][1]
                 if m.turn not in lane.designation:
                     out.append(
@@ -594,6 +601,25 @@ def network_to_dict(net: RoadNetwork) -> dict:
     }
 
 
+def parser(parse: Callable[[object], T]) -> Callable[[object], T]:
+    """``parse`` raising ConfigurationError on a document it cannot read:
+    a missing field, a value of the wrong type or an unknown id."""
+
+    @functools.wraps(parse)
+    def checked(doc: object) -> T:
+        try:
+            return parse(doc)
+        except ConfigurationError:
+            raise
+        except KeyError as exc:
+            raise ConfigurationError(f"missing field or unknown id {exc}") from None
+        except (ValueError, TypeError, IndexError, ArithmeticError) as exc:
+            raise ConfigurationError(str(exc)) from None
+
+    return checked
+
+
+@parser
 def network_from_dict(doc: dict) -> RoadNetwork:
     scheme = PhaseScheme(doc["phase_scheme"])
     intersection_ids = {i["id"] for i in doc["intersections"]}
@@ -680,13 +706,11 @@ def save_network(net: RoadNetwork, path: str | Path) -> None:
 
 
 def load_json(path: str | Path, parse: Callable[[object], T]) -> T:
-    """``parse`` over a JSON file; a file that cannot be read, is not JSON
-    or that ``parse`` cannot read raises ConfigurationError."""
+    """``parse`` over a JSON file; a file that cannot be read or is not JSON
+    raises ConfigurationError, as a ``parser`` does on a malformed document."""
     try:
         return parse(json.loads(Path(path).read_text()))
-    except KeyError as exc:
-        raise ConfigurationError(f"{path}: missing field or unknown id {exc}") from None
-    except (OSError, ValueError, TypeError, IndexError, ArithmeticError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError covers ConfigurationError
         raise ConfigurationError(f"{path}: {exc}") from None
 
 

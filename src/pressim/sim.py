@@ -32,10 +32,32 @@ over these tables instead of the network's lookup dicts:
   is built in blocks as the clock runs, from the same accumulated clock
   that ``step`` advances.
 
+The tick loop visits only what can change on the tick:
+
+- each intersection keeps an int bitmask of live movements, bit k for the
+  k-th movement of its lane table entry. A visit puts a movement to sleep
+  once its entering lanes are empty and its service credit is full, since
+  a further visit could change nothing; a vehicle joining one of its
+  entering lanes wakes it. Discharge visits the live movements the running
+  phase (or transition) serves, lowest bit first, which is movement order;
+- a calendar maps a tick index to the roads whose head vehicle may reach
+  the stop line on that tick. A road enters it when its transit deque
+  turns non-empty, at its entry tick plus the road's whole-tick travel
+  count, and after a visit that leaves a head not yet due. A wake may come
+  a tick early, never late (``wake_offset``), and each visit re-checks the
+  same ``arrival <= clock + 1e-9`` test a scan of every road would make. A
+  road whose due head finds its stop-line lane full is held until one of
+  its stop-line lanes discharges, and then woken for the next tick.
+
 Besides two integer counters (the tick index and the next vehicle id), the
 dynamic state lives in ``state`` and in the movement credits (``_credit``)
-alone. A shallow copy of a ``Simulation`` with those two copied deeply is
-therefore an independent fork; it shares the tables above.
+alone. The live masks, the calendar and the held roads are views derived
+from those two, holding the state's own deques; ``step`` rebuilds them
+whenever ``state`` is another object than the one they were built from. A
+shallow copy of a ``Simulation`` with ``state`` and ``_credit`` replaced by
+deep copies is therefore an independent fork; it shares the tables above.
+Editing ``state`` in place between steps is not supported, because the
+views would not see it.
 """
 
 from __future__ import annotations
@@ -44,7 +66,7 @@ import hashlib
 import itertools
 import json
 import math
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -53,17 +75,15 @@ from typing import TYPE_CHECKING, Callable, Deque, Mapping, Optional, Sequence
 import numpy as np
 
 # ConfigurationError is defined with the network and re-exported from here
-from pressim.network import ConfigurationError, MovementLanes, RoadNetwork, load_json
+from pressim.network import ConfigurationError, RoadNetwork, load_json, parser
 
 if TYPE_CHECKING:  # control imports this module
     from pressim.control import Controller
 
 _EPS = 1e-9
 _RELEASE_BLOCK = 4096  # most ticks of release schedule built at once
-
-
-# a movement served on a tick, with the queue capacity of its receiving lanes
-_Served = tuple[MovementLanes, int]
+# ticks a wake is moved ahead by, to cover the rounding of an accumulated clock
+_WAKE_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -240,6 +260,42 @@ class _ReleaseSchedule:
         return due[offsets[i] : offsets[i + 1]].tolist()
 
 
+def wake_offset(delay: float, tick: float) -> int:
+    """Ticks from now to a road's wake for a head arriving ``delay`` seconds
+    after the current clock.
+
+    The wake is never later than the first tick whose clock, accumulated
+    tick by tick as ``step`` accumulates it, plus 1e-9 s reaches the
+    arrival. ``_WAKE_MARGIN`` absorbs the rounding of that accumulation, so
+    the wake may come one tick early, and a visit re-checks the arrival.
+    """
+    return math.ceil((delay - _EPS) / tick - _WAKE_MARGIN)
+
+
+def _bit_positions(bits: int) -> tuple[int, ...]:
+    """Positions of the set bits of ``bits``, lowest first."""
+    return tuple(k for k in range(bits.bit_length()) if bits >> k & 1)
+
+
+@dataclass(slots=True)
+class _Move:
+    """A movement bound to one ``SimState``: ``lanes`` are the state's
+    queues of its entering lanes and ``transit`` the state's transit deque
+    of its receiving road."""
+
+    id: str
+    bit: int  # 1 << its position in the intersection's movements
+    lanes: tuple[Deque[int], ...]
+    receiving_road: str
+    sink: bool  # the receiving road drains to a boundary
+    travel_time: float
+    capacity: int  # of each receiving lane
+    transit: Deque[tuple[float, int]]
+    road: int  # the receiving road's index
+    hop: int  # whole ticks from entering the receiving road to its wake
+    upstream: tuple[int, ...]  # indices of the roads the entering lanes end
+
+
 class Simulation:
     """One episode of network, demand, and signal state.
 
@@ -263,30 +319,53 @@ class Simulation:
             else max(1, math.floor(r.length_m / 7.5))
             for r in net.roads
         }
-        # road -> (drains to a boundary, queue capacity of each stop-line lane)
-        self._stop_line = {r.id: (net.terminal(r.id), capacity[r.id]) for r in net.roads}
+        # roads are numbered in network order: the calendar holds these indices
+        self._road_ids = [r.id for r in net.roads]
+        road_of = {rid: i for i, rid in enumerate(self._road_ids)}
+        # per road: (drains to a boundary, queue capacity of each stop-line lane)
+        self._stop_line = [(net.terminal(r.id), capacity[r.id]) for r in net.roads]
+        # per road: whole ticks from a vehicle entering it to the road's wake
+        hop = [wake_offset(r.travel_time, config.tick) for r in net.roads]
         self._intersection_ids = [i.id for i in net.intersections]
         self._phase_count = {i.id: len(i.phases) for i in net.intersections}
-        # per intersection: the movements each phase serves, and those served
-        # during a transition, in movement order
-        self._served: list[tuple[str, tuple[tuple[_Served, ...], ...], tuple[_Served, ...]]] = []
-        for inter in net.intersections:
-            served = [(m, capacity[m.receiving_road]) for m in net.lane_table[inter.id].movements]
+        # per intersection: the mask of movements each phase serves, the mask
+        # of those a transition serves, and per movement in movement order
+        # (movement, receiving lane capacity, receiving road, its hop, the
+        # roads its entering lanes end)
+        self._served: list[tuple[str, tuple[int, ...], int, tuple]] = []
+        # lane -> (intersection position, mask of the movements it enters)
+        joins: dict[str, dict[int, int]] = {}
+        for ii, inter in enumerate(net.intersections):
+            movements = net.lane_table[inter.id].movements
             by_phase = tuple(
-                tuple(s for s in served if not s[0].signalized or s[0].id in p.movements)
+                sum(1 << k for k, m in enumerate(movements)
+                    if not m.signalized or m.id in p.movements)
                 for p in inter.phases
             )
-            in_transition = tuple(s for s in served if not s[0].signalized)
-            self._served.append((inter.id, by_phase, in_transition))
+            in_transition = sum(1 << k for k, m in enumerate(movements) if not m.signalized)
+            statics = []
+            for k, m in enumerate(movements):
+                road = road_of[m.receiving_road]
+                ends = dict.fromkeys(net.lane_index[l][0].id for l in m.entering)
+                upstream = tuple(road_of[r] for r in ends)
+                statics.append((m, capacity[m.receiving_road], road, max(1, hop[road]), upstream))
+                for lane in m.entering:
+                    masks = joins.setdefault(lane, {})
+                    masks[ii] = masks.get(ii, 0) | 1 << k
+            self._served.append((inter.id, by_phase, in_transition, tuple(statics)))
+        self._joins = {lane: tuple(masks.items()) for lane, masks in joins.items()}
+        self._positions: dict[int, tuple[int, ...]] = {}  # bitmask -> _bit_positions(bitmask)
 
         plans = {f.route: self._hop_plan(f.route) for f in self.flows}
-        # per flow: (entry road, hop plan, entry lane capacity, entry travel time)
+        # per flow: (entry road, hop plan, entry lane capacity, entry travel
+        # time, whole ticks from release to the entry road's wake)
         self._entries = [
             (
-                f.route[0],
+                road_of[f.route[0]],
                 plans[f.route],
                 capacity[f.route[0]],
                 net.road_index[f.route[0]].travel_time,
+                max(0, hop[road_of[f.route[0]]]),
             )
             for f in self.flows
         ]
@@ -306,6 +385,41 @@ class Simulation:
         }
         self._ticks = 0
         self._next_vehicle_id = 0
+        self._bound: Optional[SimState] = None  # the state the views below are bound to
+
+    def _bind(self) -> None:
+        """Rebuild the views of ``state`` and ``_credit`` the tick loop reads:
+        the roads' transit deques, per intersection its signal state and its
+        movements bound to their queues, the live masks, the calendar and
+        the held roads."""
+        st = self.state
+        queues, credit = st.queues, self._credit
+        self._transit = [st.transit[rid] for rid in self._road_ids]
+        self._junctions = []
+        self._live = []
+        for iid, by_phase, in_transition, statics in self._served:
+            moves = []
+            live = 0
+            for k, (m, capacity, road, hop, upstream) in enumerate(statics):
+                mv = _Move(
+                    m.id, 1 << k, tuple(queues[l] for l in m.entering), m.receiving_road,
+                    m.receiving_sink, m.travel_time, capacity, self._transit[road], road,
+                    hop, upstream,
+                )
+                if any(mv.lanes) or credit[m.id] < 1.0:
+                    live |= mv.bit
+                moves.append(mv)
+            self._junctions.append((st.signals[iid], by_phase, in_transition, tuple(moves)))
+            self._live.append(live)
+        self._held = [False] * len(self._transit)
+        # tick -> the roads its transit pass visits; the next pass is tick
+        # n + 1's, and heads already due wake then
+        self._calendar: defaultdict[int, list[int]] = defaultdict(list)
+        n, clock, tick = self._ticks, st.clock, self.config.tick
+        for r, dq in enumerate(self._transit):
+            if dq:
+                self._calendar[n + max(1, wake_offset(dq[0][0] - clock, tick))].append(r)
+        self._bound = st
 
     def _hop_plan(self, route: tuple[str, ...]) -> tuple[Optional[tuple[str, ...]], ...]:
         net = self.net
@@ -319,6 +433,8 @@ class Simulation:
 
     def step(self, controllers: Mapping[str, Controller]) -> None:
         st = self.state
+        if st is not self._bound:
+            self._bind()
         st.clock += self.config.tick
         self._ticks += 1
         self._advance_signals()
@@ -375,9 +491,10 @@ class Simulation:
 
     def _spawn(self, now: float) -> None:
         st = self.state
-        counters, queues = st.counters, st.queues
-        for fi in self._releases.at(self._ticks):
-            road, plan, capacity, travel_time = self._entries[fi]
+        counters, queues, transit = st.counters, st.queues, self._transit
+        n = self._ticks
+        for fi in self._releases.at(n):
+            road, plan, capacity, travel_time, hop = self._entries[fi]
             counters.spawned += 1
             lanes = plan[0]
             lane = lanes[0] if len(lanes) == 1 else self._pick_lane(lanes)
@@ -389,7 +506,10 @@ class Simulation:
             st.vehicles[vid] = Vehicle(
                 id=vid, route=self.flows[fi].route, route_pos=0, entry_time=now, plan=plan
             )
-            st.transit[road].append((now + travel_time, vid))
+            dq = transit[road]
+            if not dq:  # this tick's transit pass runs after the releases
+                self._calendar[n + hop].append(road)
+            dq.append((now + travel_time, vid))
 
     def _pick_lane(self, candidates: tuple[str, ...]) -> str:
         queues = self.state.queues
@@ -398,31 +518,49 @@ class Simulation:
     # -- movement along roads ----------------------------------------------
 
     def _advance_transit(self) -> None:
+        n = self._ticks
+        roads = self._calendar.pop(n, None)
+        if roads is None:
+            return
         st = self.state
         clock = st.clock
         due = clock + _EPS
         queues, vehicles = st.queues, st.vehicles
+        transit, stop_line, tick = self._transit, self._stop_line, self.config.tick
+        calendar, joins, live = self._calendar, self._joins, self._live
+        joined = finished = 0
         # roads do not interact here: a road's vehicles join only its own lanes
-        for road_id, dq in st.transit.items():
-            if not dq or dq[0][0] > due:
-                continue
-            terminal, capacity = self._stop_line[road_id]
+        for r in roads:
+            dq = transit[r]
+            terminal, capacity = stop_line[r]
             while dq and dq[0][0] <= due:
                 v = vehicles[dq[0][1]]
                 if terminal:
                     dq.popleft()
                     v.status = VehicleStatus.FINISHED
                     v.exit_time = clock
-                    st.counters.finished += 1
+                    finished += 1
                     continue
                 lanes = v.plan[v.route_pos]
                 lane = lanes[0] if len(lanes) == 1 else self._pick_lane(lanes)
-                if len(queues[lane]) >= capacity:
-                    break  # stop line full: road holds this and all behind it
+                q = queues[lane]
+                if len(q) >= capacity:
+                    # stop line full: the road holds this and all behind it
+                    # until one of its stop-line lanes discharges
+                    self._held[r] = True
+                    break
                 dq.popleft()
-                queues[lane].append(v.id)
-                st.total_queued += 1
+                q.append(v.id)
+                joined += 1
                 v.status = VehicleStatus.QUEUED
+                for ii, bits in joins[lane]:
+                    live[ii] |= bits
+            else:
+                if dq:  # woken early, or the next head is not yet due
+                    wake = n + wake_offset(dq[0][0] - clock, tick)
+                    calendar[wake if wake > n else n + 1].append(r)
+        st.total_queued += joined
+        st.counters.finished += finished
 
     # -- control ------------------------------------------------------------
 
@@ -445,52 +583,64 @@ class Simulation:
 
     def _discharge(self) -> None:
         st = self.state
-        queues, signals, credit = st.queues, st.signals, self._credit
+        queues, vehicles = st.queues, st.vehicles
+        credit, live, held = self._credit, self._live, self._held
+        calendar, n = self._calendar, self._ticks
+        positions = self._positions
         gain = self._gain
         ready = 1.0 - _EPS
-        for iid, by_phase, in_transition in self._served:
-            sig = signals[iid]
-            served = by_phase[sig.active] if sig.transition is None else in_transition
-            for m, capacity in served:
-                c = credit[m.id]
-                for lane_id in m.entering:
-                    if queues[lane_id]:
+        for ii, (sig, by_phase, in_transition, moves) in enumerate(self._junctions):
+            bits = live[ii] & (by_phase[sig.active] if sig.transition is None else in_transition)
+            if not bits:
+                continue
+            ks = positions.get(bits)
+            if ks is None:
+                ks = positions[bits] = _bit_positions(bits)
+            for k in ks:  # lowest bit first: movement order
+                mv = moves[k]
+                c = credit[mv.id]
+                for q in mv.lanes:
+                    if q:
                         break
-                else:  # nothing waits: only the credit moves, and not once full
-                    if c < 1.0:
+                else:  # nothing waits: only the credit moves, and once full
+                    if c < 1.0:  # the movement sleeps until a vehicle joins
                         c += gain
-                        credit[m.id] = c if c < 1.0 else 1.0
+                        if c < 1.0:
+                            credit[mv.id] = c
+                            continue
+                        credit[mv.id] = 1.0
+                    live[ii] ^= mv.bit
                     continue
                 c += gain
-                while c >= ready and self._serve_one(m, capacity):
+                while c >= ready:  # serve the first entering lane whose head can go
+                    for q in mv.lanes:
+                        if not q:
+                            continue
+                        v = vehicles[q[0]]
+                        pos = v.route_pos + 1
+                        if v.route[pos] != mv.receiving_road:
+                            continue
+                        if not mv.sink:
+                            lanes = v.plan[pos]
+                            target = lanes[0] if len(lanes) == 1 else self._pick_lane(lanes)
+                            if len(queues[target]) >= mv.capacity:
+                                continue
+                        break
+                    else:
+                        break  # no head can go
+                    q.popleft()
+                    st.total_queued -= 1
+                    v.route_pos = pos
+                    v.status = VehicleStatus.IN_TRANSIT
+                    if not mv.transit:
+                        calendar[n + mv.hop].append(mv.road)
+                    mv.transit.append((st.clock + mv.travel_time, v.id))
+                    for r in mv.upstream:  # a held road's stop line has room again
+                        if held[r]:
+                            held[r] = False
+                            calendar[n + 1].append(r)
                     c -= 1.0
-                credit[m.id] = c if c < 1.0 else 1.0
-
-    def _serve_one(self, m: MovementLanes, capacity: int) -> bool:
-        st = self.state
-        queues = st.queues
-        for lane_id in m.entering:
-            q = queues[lane_id]
-            if not q:
-                continue
-            v = st.vehicles[q[0]]
-            pos = v.route_pos + 1
-            if v.route[pos] != m.receiving_road:
-                continue
-            if not m.receiving_sink:
-                lanes = v.plan[pos]
-                target = lanes[0] if len(lanes) == 1 else self._pick_lane(lanes)
-                if len(queues[target]) >= capacity:
-                    continue
-            q.popleft()
-            st.total_queued -= 1
-            v.route_pos = pos
-            v.status = VehicleStatus.IN_TRANSIT
-            st.transit[m.receiving_road].append(
-                (st.clock + m.travel_time, v.id)
-            )
-            return True
-        return False
+                credit[mv.id] = c if c < 1.0 else 1.0
 
     # -- inspection ---------------------------------------------------------
 
@@ -585,6 +735,7 @@ def flows_to_list(flows: list[FlowSpec]) -> list[dict]:
     ]
 
 
+@parser
 def flows_from_list(doc: object) -> list[FlowSpec]:
     if isinstance(doc, dict):
         doc = doc["flows"]

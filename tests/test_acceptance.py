@@ -447,3 +447,25 @@ def test_fork_leaves_the_original_unaffected():
         original.step(controllers)
         untouched.step(controllers)
     assert original.state_digest() == untouched.state_digest()
+
+
+def test_fork_steps_in_lockstep_with_the_original():
+    """A fork of a congested run, stepped with the same controllers, stays in
+    step with the original. The fork rebuilds the engine's views (live
+    movements, the transit calendar, held roads) from the state it is
+    handed, so this fails when a rebuilt view drops a road or a movement the
+    original still tracks, such as a head already due at the fork. Both
+    sides are forked before comparing, since a fork leaves finished
+    vehicles behind."""
+    net = build_grid(2, 2, 300.0, 300.0)
+    flows = generate_synthetic_demand(net, Asymmetric(0.2, 0.1), 3, 600.0)
+    config = SimConfig(episode_length=600.0, lane_capacity=8)
+    controllers = make_controllers(net, "efficient-mp")
+    original = Simulation(net, flows, config)
+    for _ in range(150):
+        original.step(controllers)
+    clone = _fork(original)
+    for _ in range(150):
+        original.step(controllers)
+        clone.step(controllers)
+    assert _fork(original).state_digest() == _fork(clone).state_digest()

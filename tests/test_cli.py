@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 import shlex
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import pressim
 from pressim.cli import build_parser, main
 from pressim.network import build_grid, load_network, network_from_dict, network_to_dict, validate
 from pressim.sim import FlowSpec, load_flows, save_flows
@@ -165,6 +167,23 @@ def test_phase_naming_an_unknown_movement_exits_two(tmp_path, capsys):
                  "--episode-length", "60", "--seeds", "0"])
     assert code == 2
     assert "unknown movement" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "entering, violation",
+    [([], "movement has empty lane set"), (["nope#0"], "unknown lanes ['nope#0']")],
+)
+def test_movement_with_bad_lanes_exits_two(entering, violation, tmp_path, capsys):
+    """The network still loads, so ``validate`` reports the movement."""
+    doc = network_to_dict(build_grid(1, 1, 300.0, 300.0))
+    doc["intersections"][0]["movements"][0]["entering"] = entering
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(doc))
+    code = main(["run", "--network", str(path), "--demand", "uniform:0.1",
+                 "--episode-length", "60", "--seeds", "0"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and violation in err
 
 
 def _drop_start(path):
@@ -349,10 +368,14 @@ def test_env_var_changes_t_duration(grid_file, flows_file, tmp_path, monkeypatch
 
 def test_console_entry_point(tmp_path):
     path = tmp_path / "sub_grid.json"
+    # the child imports the pressim these tests import, installed or not
+    src = str(Path(pressim.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
     proc = subprocess.run(
         [sys.executable, "-m", "pressim.cli", "gen-grid", "--rows", "1", "--cols", "2",
          "--ew-m", "300", "--sn-m", "300", "--out", str(path)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0, proc.stderr
     assert "2 intersections" in proc.stdout

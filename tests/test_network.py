@@ -31,7 +31,7 @@ from pressim.network import (
     validate,
     with_phase_scheme,
 )
-from pressim.sim import FlowSpec, flows_to_list, load_flows
+from pressim.sim import FlowSpec, flows_from_list, flows_to_list, load_flows
 
 
 def test_compass_geometry():
@@ -289,8 +289,13 @@ def _paths(doc, prefix=()):
 )
 def test_loaders_raise_only_configuration_errors(data, which, how):
     """A file with one field deleted or replaced by any JSON value, or cut
-    short, either loads or raises ConfigurationError."""
-    doc, load = (_NETWORK_DOC, load_network) if which == "network" else (_FLOWS_DOC, load_flows)
+    short, either loads or raises ConfigurationError; so does the document,
+    handed to its parser directly."""
+    doc, load, parse = (
+        (_NETWORK_DOC, load_network, network_from_dict)
+        if which == "network"
+        else (_FLOWS_DOC, load_flows, flows_from_list)
+    )
     doc = copy.deepcopy(doc)
     path = data.draw(st.sampled_from(list(_paths(doc))))
     if how == "truncate":
@@ -306,6 +311,10 @@ def test_loaders_raise_only_configuration_errors(data, which, how):
             else:
                 parent[path[-1]] = data.draw(_json)
         text = json.dumps(doc)
+        try:
+            parse(doc)
+        except ConfigurationError:
+            pass
     with tempfile.TemporaryDirectory() as tmp:
         file = Path(tmp) / f"{which}.json"
         file.write_text(text)

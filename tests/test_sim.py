@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import bisect
+import itertools
 import random
 
 import pytest
@@ -19,6 +21,7 @@ from pressim.sim import (
     pick_lane,
     save_flows,
     validate_flows,
+    wake_offset,
 )
 
 WE = ("boundary:W0__n0_0", "n0_0__boundary:E0")  # west entry, through
@@ -371,3 +374,74 @@ def test_conservation_property(seed, headway, cap):
     for _ in range(240):
         sim.step({"n0_0": ctrl})
         assert_conserved(sim)
+
+
+# -- transit calendar ---------------------------------------------------------
+
+WAKE_TICKS = (0.05, 0.1, 0.3, 1 / 3, 1.0)
+_clocks: dict[float, list[float]] = {}
+
+
+def accumulated_clocks(tick: float) -> list[float]:
+    """The clock after each of 40,000 ticks, added up as ``step`` adds it."""
+    if tick not in _clocks:
+        _clocks[tick] = list(itertools.accumulate(itertools.repeat(tick, 40_000), initial=0.0))
+    return _clocks[tick]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    tick=st.sampled_from(WAKE_TICKS),
+    start=st.integers(0, 30_000),
+    travel=st.integers(1, 300).map(float) | st.floats(0.01, 300.0),
+    data=st.data(),
+)
+def test_wake_is_never_late(tick, start, travel, data):
+    """A road entered on tick ``start`` is woken no later than the first tick
+    whose clock + 1e-9 reaches its head's arrival, the test a scan of every
+    road makes; and so is a road whose head is not due on a later visit. A
+    wake may come at most one tick early."""
+    clocks = accumulated_clocks(tick)
+    arrival = clocks[start] + travel
+    due = bisect.bisect_left(clocks, arrival, key=lambda clock: clock + 1e-9)
+    wake = start + max(1, wake_offset(travel, tick))
+    assert due - 1 <= wake <= due
+    if due - start > 1:
+        visit = data.draw(st.integers(start + 1, due - 1))
+        rewake = visit + max(1, wake_offset(arrival - clocks[visit], tick))
+        assert due - 1 <= rewake <= due
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    tick=st.sampled_from(WAKE_TICKS),
+    length=st.floats(20.0, 120.0),
+    seed=st.integers(0, 999),
+)
+def test_transit_pass_leaves_no_due_head_that_could_move(tick, length, seed):
+    """After every transit pass, each head that has arrived at its stop line
+    is held by a full lane: the calendar visited every road it had to."""
+    net = build_grid(1, 2, length, 1.7 * length)
+    flows = [
+        FlowSpec(("boundary:W0__n0_0", "n0_0__n0_1", "n0_1__boundary:E0"), 0.0, 200.0, 1.3),
+        FlowSpec(("boundary:N1__n0_1", "n0_1__n0_0", "n0_0__boundary:W0"), 0.4, 200.0, 2.9),
+        FlowSpec(("boundary:S0__n0_0", "n0_0__boundary:N0"), 1.0, 200.0, 3.1),
+    ]
+    config = SimConfig(tick=tick, episode_length=200.0, lane_capacity=3)
+    sim = Simulation(net, flows, config)
+    advance = sim._advance_transit
+
+    def checked_transit():
+        advance()
+        state = sim.state
+        for road, dq in state.transit.items():
+            if not dq or dq[0][0] > state.clock + 1e-9:
+                continue
+            assert not net.terminal(road), road
+            v = state.vehicles[dq[0][1]]
+            assert min(len(state.queues[lane]) for lane in v.plan[v.route_pos]) >= 3, road
+
+    sim._advance_transit = checked_transit
+    ctrl = RandomPhase(4, seed=seed, t_duration=7.0)
+    sim.run({"n0_0": ctrl, "n0_1": ctrl})
+    assert sim.state.counters.finished > 0
