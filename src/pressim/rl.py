@@ -5,6 +5,10 @@ kind are config fields, so a queue-count agent and an efficient-pressure
 agent differ only in configuration. The function approximator is a small
 fully-connected network written directly in numpy, with its own backward
 pass, a finite-difference gradient check, and an adaptive-moment update.
+All of a network's weights and biases are views into one float64 vector,
+and its gradient and moment estimates are vectors of the same layout, so
+the update is one pass of array operations over the whole network, however
+many layers it has. Parameters must therefore be written in place.
 
 Training embeds the agent as a signal controller: at each decision instant
 it observes, finalizes the previous step's transition with the reward
@@ -18,6 +22,7 @@ generator, so a fixed seed reproduces training bit for bit.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -27,7 +32,7 @@ import numpy as np
 
 from pressim.bench import RunReport, report_from_sim, run_episode
 from pressim.control import Controller, ControllerConfig
-from pressim.network import RoadNetwork
+from pressim.network import RoadNetwork, load_json, parser
 from pressim.pressure import RewardKind, StateKind, extract_state, reward
 from pressim.sim import ConfigurationError, FlowSpec, SimConfig, Simulation, SimState
 
@@ -70,6 +75,8 @@ class QLearnerConfig:
             raise ConfigurationError("epsilon_decay must be in (0, 1]")
         if self.batch_size < 1 or self.batch_size > self.buffer_capacity:
             raise ConfigurationError("need 1 <= batch_size <= buffer_capacity")
+        if any(size < 1 for size in self.hidden_sizes):
+            raise ConfigurationError("hidden layer sizes must be at least 1")
         if self.target_sync_interval < 1:
             raise ConfigurationError("target_sync_interval must be at least 1")
         if self.episodes < 1:
@@ -95,6 +102,13 @@ class QFunction:
     linear model. Inputs are scaled by a fixed factor so raw queue counts
     land in a friendly range. The forward pass is pure; adaptive-moment
     optimizer state lives alongside the parameters.
+
+    Every weight and bias is a reshaped view into one contiguous float64
+    vector, ``params``: the weights layer by layer, then the biases. The
+    gradient and both moment estimates are vectors of the same layout, so
+    one update pass covers the whole network and ``copy_into`` is one slice
+    copy. Write parameters in place (``q.weights[0][...] = w``): rebinding
+    a list entry detaches it from ``params`` and from every update.
     """
 
     INPUT_SCALE = 0.1
@@ -109,74 +123,104 @@ class QFunction:
         self.input_size = input_size
         self.output_size = output_size
         self.hidden_sizes = tuple(hidden_sizes)
-        sizes = [input_size, *hidden_sizes, output_size]
-        self.weights: list[np.ndarray] = []
-        self.biases: list[np.ndarray] = []
-        for i, (n_in, n_out) in enumerate(zip(sizes, sizes[1:])):
+        sizes = [input_size, *self.hidden_sizes, output_size]
+        if min(sizes) < 1:
+            raise ConfigurationError(f"layer sizes must be at least 1, got {sizes}")
+        layers = list(zip(sizes, sizes[1:]))
+        self._shapes = [*layers, *((n_out,) for _, n_out in layers)]
+        self.params = np.zeros(sum(math.prod(shape) for shape in self._shapes))
+        self.weights, self.biases = self._split(self.params)
+        for i, (w, (n_in, _)) in enumerate(zip(self.weights, layers)):
             scale = np.sqrt(2.0 / n_in)
-            if i == len(sizes) - 2:
+            if i == len(layers) - 1:
                 scale *= 0.01  # start near-zero action values
-            self.weights.append(rng.normal(0.0, scale, size=(n_in, n_out)))
-            self.biases.append(np.zeros(n_out))
-        self._adam_m = [np.zeros_like(w) for w in self._params()]
-        self._adam_v = [np.zeros_like(w) for w in self._params()]
+            w[...] = rng.normal(0.0, scale, size=w.shape)
+        self._grad = np.zeros_like(self.params)
+        self._grads_w, self._grads_b = self._split(self._grad)
+        self._adam_m = np.zeros_like(self.params)
+        self._adam_v = np.zeros_like(self.params)
         self._adam_t = 0
+        self._rows = np.arange(0)
+
+    def views(self, flat: np.ndarray) -> list[np.ndarray]:
+        """Per-tensor views into a vector of the parameter layout: the
+        weights layer by layer, then the biases."""
+        tensors, start = [], 0
+        for shape in self._shapes:
+            stop = start + math.prod(shape)
+            tensors.append(flat[start:stop].reshape(shape))
+            start = stop
+        return tensors
+
+    def _split(self, flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        tensors = self.views(flat)
+        n = len(tensors) // 2
+        return tensors[:n], tensors[n:]
 
     def _params(self) -> list[np.ndarray]:
         return [*self.weights, *self.biases]
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        out, _ = self._forward_cached(x)
-        return out[0] if x.ndim == 1 else out
+    def _row_index(self, n: int) -> np.ndarray:
+        """``np.arange(n)``, kept between calls of one batch size."""
+        if len(self._rows) != n:
+            self._rows = np.arange(n)
+        return self._rows
 
-    def _forward_cached(self, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-        h = np.atleast_2d(np.asarray(x, dtype=np.float64)) * self.INPUT_SCALE
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """Action values of one observation, or of each row of a matrix."""
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim == 1:
+            return self._layers(x[None, :])[0][0]
+        return self._layers(x)[0]
+
+    def _layers(self, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Output for float64 rows ``x``, and the input of every layer."""
+        h = x * self.INPUT_SCALE
         activations = [h]
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            h = np.maximum(h @ w + b, 0.0)
+            h = h @ w
+            h += b
+            np.maximum(h, 0.0, out=h)
             activations.append(h)
         out = h @ self.weights[-1] + self.biases[-1]
         return out, activations
 
     def td_gradients(
         self, states: np.ndarray, actions: np.ndarray, targets: np.ndarray
-    ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Gradients of mean squared TD error over a batch."""
-        out, acts = self._forward_cached(states)
+    ) -> np.ndarray:
+        """Gradient of mean squared TD error over a batch of float64 rows, as
+        a vector of the parameter layout. The vector is this network's own
+        buffer: the next call overwrites it."""
+        out, acts = self._layers(states)
         n = len(states)
-        idx = np.arange(n)
-        diff = out[idx, actions] - targets
+        rows = self._row_index(n)
+        diff = out[rows, actions] - targets
         delta = np.zeros_like(out)
-        delta[idx, actions] = 2.0 * diff / n
-        grads_w: list[np.ndarray] = []
-        grads_b: list[np.ndarray] = []
+        delta[rows, actions] = 2.0 * diff / n
         for layer in range(len(self.weights) - 1, -1, -1):
-            grads_w.append(acts[layer].T @ delta)
-            grads_b.append(delta.sum(axis=0))
+            np.matmul(acts[layer].T, delta, out=self._grads_w[layer])
+            np.add.reduce(delta, axis=0, out=self._grads_b[layer])
             if layer > 0:
-                delta = (delta @ self.weights[layer].T) * (acts[layer] > 0.0)
-        return grads_w[::-1], grads_b[::-1]
+                delta = delta @ self.weights[layer].T
+                delta *= acts[layer] > 0.0
+        return self._grad
 
-    def apply_gradients(
-        self, grads_w: list[np.ndarray], grads_b: list[np.ndarray], learning_rate: float
-    ) -> None:
-        """One adaptive-moment (beta 0.9/0.999) update step."""
+    def apply_gradients(self, grad: np.ndarray, learning_rate: float) -> None:
+        """One adaptive-moment (beta 0.9/0.999) update step, in one pass over
+        the parameter vector; ``grad`` has the parameter layout."""
         self._adam_t += 1
         t = self._adam_t
-        params = self._params()
-        grads = [*grads_w, *grads_b]
-        for p, g, m, v in zip(params, grads, self._adam_m, self._adam_v):
-            m *= 0.9
-            m += 0.1 * g
-            v *= 0.999
-            v += 0.001 * g * g
-            m_hat = m / (1.0 - 0.9**t)
-            v_hat = v / (1.0 - 0.999**t)
-            p -= learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
+        m, v = self._adam_m, self._adam_v
+        m *= 0.9
+        m += 0.1 * grad
+        v *= 0.999
+        v += 0.001 * grad * grad
+        m_hat = m / (1.0 - 0.9**t)
+        v_hat = v / (1.0 - 0.999**t)
+        self.params -= learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
 
     def copy_into(self, other: "QFunction") -> None:
-        for mine, theirs in zip(self._params(), other._params()):
-            theirs[...] = mine
+        other.params[...] = self.params
 
     def clone(self) -> "QFunction":
         """Same parameters, fresh optimizer state."""
@@ -193,14 +237,28 @@ class QFunction:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "QFunction":
+        """The network ``to_doc`` described; every shape and value count must
+        fit the layer sizes the document names."""
         q = cls(
             doc["input_size"],
             doc["output_size"],
             doc["hidden_sizes"],
             np.random.default_rng(0),
         )
-        for p, shape, values in zip(q._params(), doc["shapes"], doc["values"]):
-            p[...] = np.asarray(values, dtype=np.float64).reshape(shape)
+        shapes = [list(p.shape) for p in q._params()]
+        if doc["shapes"] != shapes or len(doc["values"]) != len(shapes):
+            raise ConfigurationError(
+                f"parameter shapes {doc['shapes']} do not fit layers {shapes}"
+            )
+        for p, values in zip(q._params(), doc["values"]):
+            flat = np.asarray(values, dtype=np.float64)
+            if flat.shape != (p.size,):
+                raise ConfigurationError(
+                    f"a {list(p.shape)} tensor needs {p.size} values, got shape {list(flat.shape)}"
+                )
+            if not np.isfinite(flat).all():
+                raise ConfigurationError("parameter values must be finite")
+            p[...] = flat.reshape(p.shape)
         return q
 
 
@@ -221,19 +279,19 @@ def learn_step(
     config: QLearnerConfig,
 ) -> tuple[QFunction, float]:
     """One gradient step toward r + gamma * max target value (r alone at
-    episode boundaries); returns the loss measured after the step."""
+    episode boundaries); returns the loss measured after the step. The
+    batch holds float64 observation rows, as ``ReplayBuffer.sample`` builds."""
     n = len(batch.action)
     if n == 0:
         raise ConfigurationError("learn_step needs a non-empty batch")
     with np.errstate(over="ignore", invalid="ignore"):
-        bootstrap = target_q.forward(batch.next_obs).max(axis=1)
+        bootstrap = target_q._layers(batch.next_obs)[0].max(axis=1)
         targets = batch.reward + np.where(batch.terminal, 0.0, config.gamma * bootstrap)
-        grads_w, grads_b = q.td_gradients(batch.obs, batch.action, targets)
-        q.apply_gradients(grads_w, grads_b, config.learning_rate)
-        out = q.forward(batch.obs)
-        diff = out[np.arange(n), batch.action] - targets
-        loss = float(np.mean(diff**2))
-    if not np.isfinite(loss):
+        grad = q.td_gradients(batch.obs, batch.action, targets)
+        q.apply_gradients(grad, config.learning_rate)
+        diff = q._layers(batch.obs)[0][q._row_index(n), batch.action] - targets
+        loss = float(np.add.reduce(diff * diff) / n)  # np.mean(diff**2), without its checks
+    if not math.isfinite(loss):
         raise TrainingDiverged(f"TD loss became non-finite: {loss}")
     return q, loss
 
@@ -247,8 +305,7 @@ def gradient_check(
     x = np.asarray(s, dtype=np.float64)[None, :]
     actions = np.array([a], dtype=np.intp)
     targets = np.array([target], dtype=np.float64)
-    grads_w, grads_b = q.td_gradients(x, actions, targets)
-    analytic = [*grads_w, *grads_b]
+    analytic = q.views(q.td_gradients(x, actions, targets).copy())
 
     def loss_now() -> float:
         out = q.forward(x)
@@ -327,6 +384,20 @@ def epsilon_for_episode(config: QLearnerConfig, episode: int) -> float:
     return config.epsilon_start + (config.epsilon_end - config.epsilon_start) * progress
 
 
+def _scope_sizes(net: RoadNetwork, shared: bool) -> dict[str, tuple[int, int]]:
+    """Parameter scope -> (observation size, phase count) of the
+    intersections it serves: one ``shared`` scope, or one per intersection."""
+    sizes = {
+        iid: (len(lanes.signalized) + len(lanes.phases), len(lanes.phases))
+        for iid, lanes in net.lane_table.items()
+    }
+    if not shared:
+        return sizes
+    if len(set(sizes.values())) > 1:
+        raise ConfigurationError("shared parameters require homogeneous intersections")
+    return {"shared": next(iter(sizes.values()))}
+
+
 class LearningAgent(Controller):
     """The Q-learner wearing the controller interface.
 
@@ -348,17 +419,7 @@ class LearningAgent(Controller):
         self.qconfig = config
         self.rng = np.random.default_rng(config.seed)
         self.epsilon = config.epsilon_start
-        # scope -> (observation size, phase count) of the intersections it serves
-        sizes = {
-            iid: (len(lanes.signalized) + len(lanes.phases), len(lanes.phases))
-            for iid, lanes in net.lane_table.items()
-        }
-        if config.shared_parameters:
-            if len(set(sizes.values())) > 1:
-                raise ConfigurationError(
-                    "shared parameters require homogeneous intersections"
-                )
-            sizes = {"shared": next(iter(sizes.values()))}
+        sizes = _scope_sizes(net, config.shared_parameters)
         self.q_functions: dict[str, QFunction] = {}
         self.target_functions: dict[str, QFunction] = {}
         self.buffers: dict[str, ReplayBuffer] = {}
@@ -517,12 +578,34 @@ def save_parameters(agent: LearningAgent, path: str | Path) -> None:
 
 
 def load_policy(net: RoadNetwork, path: str | Path) -> QPolicyController:
-    doc = json.loads(Path(path).read_text())
-    q_functions = {s: QFunction.from_doc(d) for s, d in doc["scopes"].items()}
-    return QPolicyController(
-        net,
-        q_functions,
-        StateKind(doc["state_kind"]),
-        shared=doc["shared_parameters"],
-        t_duration=doc["t_duration"],
-    )
+    """The frozen policy ``save_parameters`` wrote; each scope's networks must
+    fit the observation and phase counts of the intersections it serves."""
+
+    @parser
+    def policy_from_dict(doc: dict) -> QPolicyController:
+        shared = doc["shared_parameters"]
+        if not isinstance(shared, bool):
+            raise ConfigurationError("shared_parameters must be true or false")
+        sizes = _scope_sizes(net, shared)
+        if set(doc["scopes"]) != set(sizes):
+            raise ConfigurationError(
+                f"policy scopes {sorted(doc['scopes'])} do not match {sorted(sizes)}"
+            )
+        q_functions = {}
+        for scope, (input_size, n_phases) in sizes.items():
+            q = QFunction.from_doc(doc["scopes"][scope])
+            if (q.input_size, q.output_size) != (input_size, n_phases):
+                raise ConfigurationError(
+                    f"scope {scope} maps {q.input_size} inputs to {q.output_size}"
+                    f" phases; the network needs {input_size} to {n_phases}"
+                )
+            q_functions[scope] = q
+        return QPolicyController(
+            net,
+            q_functions,
+            StateKind(doc["state_kind"]),
+            shared=shared,
+            t_duration=doc["t_duration"],
+        )
+
+    return load_json(path, policy_from_dict)

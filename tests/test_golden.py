@@ -153,6 +153,15 @@ LEARNER = {
         },
         "d1fd334650bbf550a23ff8977443aa82a613df8046dc432c2aed1be362545029", 243,
     ),
+    # the parameter vector's layout at other depths than the default (32, 32)
+    "1x1-linear": (
+        1, 1, {"episodes": 3, "batch_size": 8, "hidden_sizes": ()},
+        "6d25ad721080a594a59e5e6f3425011797f38999a6ae8025e5ed683bf49c92ba", 89,
+    ),
+    "2x2-three-hidden-layers": (
+        2, 2, {"episodes": 2, "batch_size": 16, "hidden_sizes": (16, 8, 12)},
+        "50c46f3743a828ca86e5691cebc8c6f32d16c505ae8e3b287ef7aef328290aa9", 246,
+    ),
 }
 
 

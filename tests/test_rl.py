@@ -65,6 +65,9 @@ def test_config_validation():
         {"target_sync_interval": 0},
         {"episodes": 0},
         {"episodes": 5, "eval_episodes": 6},
+        {"hidden_sizes": (0,)},
+        {"hidden_sizes": (-3,)},
+        {"hidden_sizes": (32, 0)},
     ):
         with pytest.raises(ConfigurationError):
             QLearnerConfig(**kwargs)
@@ -178,6 +181,173 @@ def test_gradient_check_is_deterministic():
         return gradient_check(q, sv(rng.normal(size=5)), 1, 0.5)
 
     assert one(7) == one(7)
+
+
+def test_gradient_check_perturbs_the_live_parameters():
+    rng = np.random.default_rng(4)
+    q = QFunction(3, 2, (4,), rng)
+    before = q.params.copy()
+    seen = []
+    forward = q.forward
+
+    def spy(x):
+        seen.append(q.params.copy())
+        return forward(x)
+
+    q.forward = spy
+    assert gradient_check(q, sv(rng.normal(size=3)), 1, 0.5) < 1e-6
+    # two forward passes per parameter, each with only that entry moved
+    assert len(seen) == 2 * q.params.size
+    for i, params in enumerate(seen):
+        assert np.flatnonzero(params != before).tolist() == [i // 2]
+    np.testing.assert_array_equal(q.params, before)
+
+
+def reference_apply_gradients(params, grads, adam_m, adam_v, t, learning_rate):
+    """The per-tensor adaptive-moment step that the one-pass update over the
+    parameter vector replaced, kept as the reference."""
+    for p, g, m, v in zip(params, grads, adam_m, adam_v):
+        m *= 0.9
+        m += 0.1 * g
+        v *= 0.999
+        v += 0.001 * g * g
+        m_hat = m / (1.0 - 0.9**t)
+        v_hat = v / (1.0 - 0.999**t)
+        p -= learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    input_size=st.integers(1, 12),
+    output_size=st.integers(1, 8),
+    hidden_sizes=st.lists(st.integers(1, 20), max_size=3),
+    steps=st.integers(1, 8),
+    learning_rate=st.floats(1e-5, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_flat_update_equals_per_tensor_reference(
+    input_size, output_size, hidden_sizes, steps, learning_rate, seed
+):
+    rng = np.random.default_rng(seed)
+    q = QFunction(input_size, output_size, hidden_sizes, rng)
+    params = [p.copy() for p in q._params()]
+    adam_m = [np.zeros_like(p) for p in params]
+    adam_v = [np.zeros_like(p) for p in params]
+    for t in range(1, steps + 1):
+        # magnitudes from 1e-6 to 1e5, with exact zeros among them
+        scales = 10.0 ** rng.integers(-6, 6, size=q.params.size)
+        grad = rng.normal(size=q.params.size) * scales * (rng.random(q.params.size) > 0.1)
+        q.apply_gradients(grad, learning_rate)
+        reference_apply_gradients(params, q.views(grad), adam_m, adam_v, t, learning_rate)
+        for flat, tensors in ((q.params, params), (q._adam_m, adam_m), (q._adam_v, adam_v)):
+            assert all((got == want).all() for got, want in zip(q.views(flat), tensors))
+
+
+@pytest.mark.parametrize("hidden_sizes", [(), (32, 32), (5, 7, 3)])
+def test_parameters_are_views_of_one_vector(hidden_sizes):
+    rng = np.random.default_rng(8)
+    q = QFunction(6, 3, hidden_sizes, rng)
+    tensors = q._params()
+    assert len(q.weights) == len(q.biases) == len(hidden_sizes) + 1
+    assert all(np.shares_memory(p, q.params) for p in tensors)
+    # the views tile the vector in layout order: weights, then biases
+    np.testing.assert_array_equal(np.concatenate([p.ravel() for p in tensors]), q.params)
+    q.weights[0][0, 0] = 7.0
+    assert q.params[0] == 7.0
+    q.params[-1] = 3.0
+    assert q.biases[-1][-1] == 3.0
+    grad = q.td_gradients(rng.normal(size=(4, 6)), np.array([0, 1, 2, 0]), np.zeros(4))
+    assert grad.shape == q.params.shape
+    assert [g.shape for g in q.views(grad)] == [p.shape for p in tensors]
+
+
+def test_copy_into_and_clone_copy_values_without_sharing_memory():
+    rng = np.random.default_rng(2)
+    q = QFunction(6, 3, (8, 4), rng)
+    target = QFunction(6, 3, (8, 4), rng)
+    q.copy_into(target)
+    clone = q.clone()
+    for other in (target, clone):
+        np.testing.assert_array_equal(other.params, q.params)
+        assert not np.shares_memory(other.params, q.params)
+        assert all(np.shares_memory(p, other.params) for p in other._params())
+    assert clone._adam_t == 0 and not clone._adam_m.any()
+    kept = q.params.copy()
+    q.weights[1][...] += 1.0
+    np.testing.assert_array_equal(target.params, kept)
+    np.testing.assert_array_equal(clone.params, kept)
+
+
+def test_from_doc_rejects_tensors_that_do_not_fit_the_layers():
+    q = QFunction(4, 2, (32,), np.random.default_rng(0))
+
+    def broken(edit):
+        doc = q.to_doc()
+        edit(doc)
+        return doc
+
+    def first_bias_of_one(doc):  # used to load as 32 copies of 0.5
+        doc["shapes"][2], doc["values"][2] = [1], [0.5]
+
+    def short_values(doc):
+        doc["values"][0] = doc["values"][0][:-1]
+
+    def nested_values(doc):
+        doc["values"][3] = [doc["values"][3]]
+
+    def missing_tensor(doc):
+        del doc["shapes"][-1], doc["values"][-1]
+
+    def other_hidden_sizes(doc):
+        doc["hidden_sizes"] = [16]
+
+    def not_a_number(doc):  # a frozen policy would always pick phase 0
+        doc["values"][0][5] = float("nan")
+
+    for edit in (first_bias_of_one, short_values, nested_values, missing_tensor,
+                 other_hidden_sizes, not_a_number):
+        with pytest.raises(ConfigurationError):
+            QFunction.from_doc(broken(edit))
+    with pytest.raises(ConfigurationError):
+        QFunction.from_doc({**q.to_doc(), "hidden_sizes": [0]})
+
+
+def test_load_policy_rejects_malformed_files(tmp_path):
+    import json
+
+    from pressim.network import PhaseScheme
+
+    net = build_grid(1, 1, 400.0, 400.0)
+    path = tmp_path / "params.json"
+    save_parameters(LearningAgent(net, QLearnerConfig()), path)
+    good = json.loads(path.read_text())
+    assert isinstance(load_policy(net, path), QPolicyController)
+
+    def write(edit):
+        doc = json.loads(json.dumps(good))
+        edit(doc)
+        path.write_text(json.dumps(doc))
+
+    edits = (
+        lambda doc: doc.pop("scopes"),
+        lambda doc: doc["scopes"]["shared"].pop("values"),
+        lambda doc: doc.update(state_kind="bogus"),
+        lambda doc: doc.update(shared_parameters=False),  # no scope per intersection
+        lambda doc: doc.update(shared_parameters="yes"),
+        lambda doc: doc["scopes"]["shared"]["values"][0].pop(),
+    )
+    for edit in edits:
+        write(edit)
+        with pytest.raises(ConfigurationError):
+            load_policy(net, path)
+    path.write_text("{not json")
+    with pytest.raises(ConfigurationError):
+        load_policy(net, path)
+    # a grid with another phase count fails on load, not mid-episode
+    path.write_text(json.dumps(good))
+    eight = build_grid(1, 1, 400.0, 400.0, PhaseScheme.EIGHT)
+    with pytest.raises(ConfigurationError, match="phases"):
+        load_policy(eight, path)
 
 
 def test_replay_buffer_eviction_and_sampling():
