@@ -137,12 +137,10 @@ class Peaked:
 DemandProfile = Union[Uniform, Asymmetric, Peaked]
 
 
-def _follow_through(net: RoadNetwork, road_id: str, first_turn: Turn) -> Optional[tuple[str, ...]]:
+def _follow_through(net: RoadNetwork, next_by_turn: dict, road_id: str, first_turn: Turn):
     """Route from an entry road: take ``first_turn`` at the first junction,
-    then continue straight until leaving the network."""
-    next_by_turn = {
-        (a, t): b for (a, b), t in net.turn_between.items()
-    }
+    then continue straight until leaving the network. ``next_by_turn`` maps
+    (road, turn) to the road the turn leads onto; None if a turn is missing."""
     route = [road_id]
     turn = first_turn
     while not net.terminal(route[-1]):
@@ -202,9 +200,10 @@ def generate_synthetic_demand(
 
     rng = np.random.default_rng(seed)
     flows: list[FlowSpec] = []
+    next_by_turn = {(a, t): b for (a, b), t in net.turn_between.items()}
     for entry in net.entry_roads():
         for turn in (Turn.THROUGH, Turn.LEFT, Turn.RIGHT):
-            route = _follow_through(net, entry.id, turn)
+            route = _follow_through(net, next_by_turn, entry.id, turn)
             if route is None:
                 continue
             rate = _route_rate(entry, profile)

@@ -204,13 +204,22 @@ class MovementLanes:
 class IntersectionLanes:
     """Every movement in movement order, the signalized ones in the same
     order, each phase's two movements as positions in ``signalized``, the
-    entering lanes and the exiting lanes of roads not draining to a boundary."""
+    entering lanes and the exiting lanes of roads not draining to a boundary.
+    The signalized movements' distinct entering, paired and readable lane
+    sets are numbered one-lane sets first (bare ids in ``single_lanes``),
+    then ``lane_groups``; per signalized movement, ``ep_reads`` holds the
+    numbers of its entering and readable sets, ``len(entering)`` and
+    ``n_exiting``, and ``mp_reads`` those of its entering and paired sets."""
 
     movements: tuple[MovementLanes, ...]
     signalized: tuple[MovementLanes, ...]
     phases: tuple[tuple[int, ...], ...]
     entering: tuple[str, ...]
     exiting: tuple[str, ...]
+    single_lanes: tuple[str, ...]
+    lane_groups: tuple[tuple[str, ...], ...]
+    ep_reads: tuple[tuple[int, int, int, int], ...]
+    mp_reads: tuple[tuple[int, int], ...]
 
 
 class RoadNetwork:
@@ -291,9 +300,16 @@ class RoadNetwork:
                 f"{inter.id}: phases name {unknown}, not signalized movements here"
             )
         phases = tuple(tuple(position[mid] for mid in p.movements) for p in inter.phases)
+        sets = dict.fromkeys(s for ml in signalized for s in (ml.entering, ml.paired, ml.readable))
+        singles = [s for s in sets if len(s) == 1]
+        groups = tuple(s for s in sets if len(s) != 1)
+        at = {s: k for k, s in enumerate([*singles, *groups])}
         return IntersectionLanes(
             tuple(movements), signalized, phases,
             tuple(sorted(inter.entering_lanes)), read(sorted(inter.exiting_lanes)),
+            tuple(s[0] for s in singles), groups,
+            tuple((at[m.entering], at[m.readable], len(m.entering), m.n_exiting) for m in signalized),
+            tuple((at[m.entering], at[m.paired]) for m in signalized),
         )
 
     def is_boundary(self, node: str) -> bool:

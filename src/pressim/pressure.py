@@ -29,7 +29,6 @@ import numpy as np
 from pressim.network import (
     Intersection,
     IntersectionLanes,
-    MovementLanes,
     Phase,
     RoadNetwork,
     TrafficMovement,
@@ -204,23 +203,18 @@ def _lanes(net: RoadNetwork, intersection: str) -> IntersectionLanes:
         raise ConfigurationError(f"unknown intersection {intersection!r}") from None
 
 
-def _movement_scores(
-    state: SimState, movements: Sequence[MovementLanes], efficient: bool
-) -> list:
+def _movement_scores(state: SimState, lanes: IntersectionLanes, efficient: bool) -> list:
     """``movement_queue_pressure``, or ``etm_efficient_pressure`` with
-    ``efficient``, per movement. An efficient pressure is summed as the
-    reference sums it: ``sum / n`` of integer queues equals their ``fmean``."""
-    queue = state.queues.__getitem__  # sum(map(len, map(queue, ls))): total queue
+    ``efficient``, per signalized movement. Each distinct lane set's queue
+    total is taken once; an efficient pressure is summed as the reference
+    sums it: ``sum / n`` of integer queues equals their ``fmean``."""
+    queues = state.queues
+    total = [len(queues[l]) for l in lanes.single_lanes]
+    queue = queues.__getitem__
+    total += [sum(map(len, map(queue, g))) for g in lanes.lane_groups]
     if efficient:
-        return [
-            sum(map(len, map(queue, m.entering))) / len(m.entering)
-            - sum(map(len, map(queue, m.readable))) / m.n_exiting
-            for m in movements
-        ]
-    return [
-        sum(map(len, map(queue, m.entering))) - sum(map(len, map(queue, m.paired)))
-        for m in movements
-    ]
+        return [total[e] / ne - total[x] / nx for e, x, ne, nx in lanes.ep_reads]
+    return [total[e] - total[p] for e, p in lanes.mp_reads]
 
 
 def phase_scores(
@@ -232,7 +226,7 @@ def phase_scores(
     ``phase_efficient_pressures``: movement a plus movement b.
     """
     lanes = _lanes(net, intersection)
-    score = _movement_scores(state, lanes.signalized, efficient)
+    score = _movement_scores(state, lanes, efficient)
     return tuple(score[a] + score[b] for a, b in lanes.phases)
 
 
@@ -267,7 +261,7 @@ def extract_state(
     lanes = _lanes(net, intersection)
     movements = lanes.signalized
     if kind is StateKind.PRESSURE_QUEUE or kind is StateKind.EFFICIENT_PRESSURE:
-        features = _movement_scores(state, movements, kind is StateKind.EFFICIENT_PRESSURE)
+        features = _movement_scores(state, lanes, kind is StateKind.EFFICIENT_PRESSURE)
     else:  # vehicle counts: queued plus in transit, from each road's lane_stats
         downstream = kind is StateKind.PRESSURE_NV
         roads = {net.lane_index[l][0].id for m in movements for l in m.entering}

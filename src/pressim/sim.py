@@ -47,11 +47,16 @@ The tick loop visits only what can change on the tick:
   a tick early, never late (``wake_offset``), and each visit re-checks the
   same ``arrival <= clock + 1e-9`` test a scan of every road would make. A
   road whose due head finds its stop-line lane full is held until one of
-  its stop-line lanes discharges, and then woken for the next tick.
+  its stop-line lanes discharges, and then woken for the next tick;
+- a decision calendar maps a tick index to the intersections ``_poll``
+  checks on it. A check leaving a signal green books the next on the first
+  tick whose green, accumulated tick by tick, passes the ``t_duration`` test,
+  and a transition books one on the tick it ends. It holds for one
+  ``controllers`` object: a new one has every intersection checked.
 
 Besides two integer counters (the tick index and the next vehicle id), the
 dynamic state lives in ``state`` and in the movement credits (``_credit``)
-alone. The live masks, the calendar and the held roads are views derived
+alone. The live masks, the calendars and the held roads are views derived
 from those two, holding the state's own deques; ``step`` rebuilds them
 whenever ``state`` is another object than the one they were built from. A
 shallow copy of a ``Simulation`` with ``state`` and ``_credit`` replaced by
@@ -84,6 +89,7 @@ _EPS = 1e-9
 _RELEASE_BLOCK = 4096  # most ticks of release schedule built at once
 # ticks a wake is moved ahead by, to cover the rounding of an accumulated clock
 _WAKE_MARGIN = 1e-6
+_CHECK_HORIZON = 4096  # most ticks a decision check is scheduled ahead
 
 
 @dataclass(frozen=True)
@@ -145,6 +151,12 @@ class Vehicle:
 class TransitionStage(Enum):
     YELLOW = "yellow"
     ALL_RED = "all_red"
+
+
+# the members, in definition order, as the module names the tick loop reads:
+# a read of a member through its class costs about nine times a name's
+_IN_TRANSIT, _QUEUED, _FINISHED = VehicleStatus
+_YELLOW, _ALL_RED = TransitionStage
 
 
 @dataclass
@@ -355,6 +367,7 @@ class Simulation:
             self._served.append((inter.id, by_phase, in_transition, tuple(statics)))
         self._joins = {lane: tuple(masks.items()) for lane, masks in joins.items()}
         self._positions: dict[int, tuple[int, ...]] = {}  # bitmask -> _bit_positions(bitmask)
+        self._waits: dict[float, int] = {}  # t_duration -> _wait(0.0, t_duration)
 
         plans = {f.route: self._hop_plan(f.route) for f in self.flows}
         # per flow: (entry road, hop plan, entry lane capacity, entry travel
@@ -412,6 +425,11 @@ class Simulation:
             self._junctions.append((st.signals[iid], by_phase, in_transition, tuple(moves)))
             self._live.append(live)
         self._held = [False] * len(self._transit)
+        # tick -> the intersections _poll checks; per intersection its last booked check
+        self._signals = [st.signals[iid] for iid in self._intersection_ids]
+        self._checks: defaultdict[int, list[int]] = defaultdict(list)
+        self._check_at = [0] * len(self._signals)
+        self._mapping: Optional[Mapping[str, Controller]] = None  # check all at the next poll
         # tick -> the roads its transit pass visits; the next pass is tick
         # n + 1's, and heads already due wake then
         self._calendar: defaultdict[int, list[int]] = defaultdict(list)
@@ -432,6 +450,9 @@ class Simulation:
     # -- tick ---------------------------------------------------------------
 
     def step(self, controllers: Mapping[str, Controller]) -> None:
+        """Advance one tick. ``controllers`` is read by identity: a changed
+        mapping, or a changed ``t_duration``, must come as a new mapping
+        object. ``set_phase`` may be called between steps."""
         st = self.state
         if st is not self._bound:
             self._bind()
@@ -452,19 +473,22 @@ class Simulation:
     # -- signal timing ------------------------------------------------------
 
     def _advance_signals(self) -> None:
-        tick = self.config.tick
-        for sig in self.state.signals.values():
-            if sig.transition is not None:
+        tick, n = self.config.tick, self._ticks
+        for i, sig in enumerate(self._signals):
+            if sig.transition is None:
+                sig.elapsed += tick
+            else:
                 sig.transition.remaining -= tick
                 self._normalize_transition(sig)
-            else:
-                sig.elapsed += tick
+                if sig.transition is None:  # green again: check it on this tick
+                    self._check_at[i] = n
+                    self._checks[n].append(i)
 
     def _normalize_transition(self, sig: SignalState) -> None:
         while sig.transition is not None and sig.transition.remaining <= _EPS:
             tr = sig.transition
-            if tr.stage is TransitionStage.YELLOW:
-                tr.stage = TransitionStage.ALL_RED
+            if tr.stage is _YELLOW:
+                tr.stage = _ALL_RED
                 tr.remaining += self.config.all_red
             else:
                 sig.active = tr.next_phase
@@ -484,7 +508,7 @@ class Simulation:
         if phase == sig.active:
             sig.elapsed = 0.0
             return
-        sig.transition = Transition(TransitionStage.YELLOW, self.config.yellow, phase)
+        sig.transition = Transition(_YELLOW, self.config.yellow, phase)
         self._normalize_transition(sig)
 
     # -- demand -------------------------------------------------------------
@@ -503,9 +527,7 @@ class Simulation:
                 continue
             vid = self._next_vehicle_id
             self._next_vehicle_id += 1
-            st.vehicles[vid] = Vehicle(
-                id=vid, route=self.flows[fi].route, route_pos=0, entry_time=now, plan=plan
-            )
+            st.vehicles[vid] = Vehicle(vid, self.flows[fi].route, 0, now, None, _IN_TRANSIT, plan)
             dq = transit[road]
             if not dq:  # this tick's transit pass runs after the releases
                 self._calendar[n + hop].append(road)
@@ -537,7 +559,7 @@ class Simulation:
                 v = vehicles[dq[0][1]]
                 if terminal:
                     dq.popleft()
-                    v.status = VehicleStatus.FINISHED
+                    v.status = _FINISHED
                     v.exit_time = clock
                     finished += 1
                     continue
@@ -552,7 +574,7 @@ class Simulation:
                 dq.popleft()
                 q.append(v.id)
                 joined += 1
-                v.status = VehicleStatus.QUEUED
+                v.status = _QUEUED
                 for ii, bits in joins[lane]:
                     live[ii] |= bits
             else:
@@ -565,19 +587,46 @@ class Simulation:
     # -- control ------------------------------------------------------------
 
     def _poll(self, controllers: Mapping[str, Controller]) -> None:
-        st = self.state
-        signals, net = st.signals, self.net
-        for iid in self._intersection_ids:
+        """Decide, in intersection order, where green has run ``t_duration``:
+        of those the calendar holds for this tick, or of all on a new mapping."""
+        n, check_at, checks = self._ticks, self._check_at, self._checks
+        due = checks.pop(n, ())
+        if controllers is not self._mapping:
+            self._mapping, due = controllers, range(len(check_at))
+        elif due:  # an entry is stale once a later event booked another check
+            due = sorted({i for i in due if check_at[i] == n})
+        st, net, signals, ids = self.state, self.net, self._signals, self._intersection_ids
+        for i in due:
+            iid = ids[i]
             ctrl = controllers.get(iid)
-            if ctrl is None:
-                continue
-            sig = signals[iid]
-            if sig.transition is not None or sig.elapsed + _EPS < ctrl.t_duration:
-                continue
-            obs = ctrl.observe(st, net, iid)
-            action = ctrl.decide(obs, iid)
-            st.counters.decisions += 1
-            self.set_phase(iid, action)
+            sig = signals[i]
+            if ctrl is None or sig.transition is not None:
+                continue  # a transition schedules a check when it ends
+            t_duration = ctrl.t_duration
+            if not sig.elapsed + _EPS < t_duration:
+                action = ctrl.decide(ctrl.observe(st, net, iid), iid)
+                st.counters.decisions += 1
+                self.set_phase(iid, action)
+                if sig.transition is not None:
+                    continue
+            check_at[i] = at = n + self._wait(sig.elapsed, t_duration)
+            checks[at].append(i)
+
+    def _wait(self, elapsed: float, t_duration: float) -> int:
+        """Ticks, 1 to ``_CHECK_HORIZON``, to the first check that finds a green
+        now ``elapsed`` seconds long due, adding the tick as ``_advance_signals``
+        does, so the ``_EPS`` test picks the tick a check on every tick picks."""
+        zero = elapsed == 0.0
+        if zero and t_duration in self._waits:
+            return self._waits[t_duration]
+        tick, wait = self.config.tick, 1
+        elapsed += tick
+        while elapsed + _EPS < t_duration and wait < _CHECK_HORIZON:
+            elapsed += tick
+            wait += 1
+        if zero:
+            self._waits[t_duration] = wait
+        return wait
 
     # -- discharge ----------------------------------------------------------
 
@@ -631,7 +680,7 @@ class Simulation:
                     q.popleft()
                     st.total_queued -= 1
                     v.route_pos = pos
-                    v.status = VehicleStatus.IN_TRANSIT
+                    v.status = _IN_TRANSIT
                     if not mv.transit:
                         calendar[n + mv.hop].append(mv.road)
                     mv.transit.append((st.clock + mv.travel_time, v.id))

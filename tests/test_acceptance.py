@@ -83,7 +83,7 @@ def _fork(sim: Simulation) -> Simulation:
     """Cheap copy of a live simulation: immutable tables are shared, the
     dynamic state is rebuilt, and finished vehicles are left behind."""
     st = sim.state
-    clone = Simulation.__new__(Simulation)
+    clone = type(sim).__new__(type(sim))
     clone.__dict__.update(sim.__dict__)
     clone._credit = dict(sim._credit)
     signals = {}

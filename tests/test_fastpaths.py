@@ -8,13 +8,15 @@ predicate picks on the accumulated clock.
 
 from __future__ import annotations
 
+import gc
+import random
 from collections import deque
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pressim.network import PhaseScheme, build_grid
+from pressim.network import PhaseScheme, build_grid, network_from_dict, network_to_dict
 from pressim.pressure import (
     RewardKind,
     StateKind,
@@ -36,11 +38,34 @@ from pressim.sim import (
     release_schedule,
 )
 
+
+
+def _loaded_grid():
+    """A 3-lane 3x3 grid whose westbound-entering through movements at n1_1
+    and n1_2 enter from two lanes (the right-turn lane is designated for
+    through as well) and exit to two of the receiving road's three lanes:
+    multi-lane entering, paired and readable sets, and at n1_2, whose
+    receiving road drains to a boundary, two exiting lanes and none read."""
+    doc = network_to_dict(build_grid(3, 3, 300.0, 300.0))
+    for west, inter in (("n1_0", "n1_1"), ("n1_1", "n1_2")):
+        road = f"{west}__{inter}"
+        next(r for r in doc["roads"] if r["id"] == road)["lanes"][2]["designation"] = [
+            "right",
+            "through",
+        ]
+        idoc = next(i for i in doc["intersections"] if i["id"] == inter)
+        through = next(m for m in idoc["movements"] if m["id"] == f"{inter}:WT")
+        through["entering"] = [f"{road}#1", f"{road}#2"]
+        through["exiting"] = through["exiting"][:2]
+    return network_from_dict(doc)
+
+
 _GRIDS = {
     (lanes, scheme): build_grid(3, 3, 300.0, 300.0, scheme, lanes_per_approach=lanes)
     for lanes in (1, 3)
     for scheme in (PhaseScheme.FOUR, PhaseScheme.EIGHT)
 }
+_GRIDS["loaded", PhaseScheme.FOUR] = _loaded_grid()
 
 
 def _state(net, counts) -> SimState:
@@ -83,6 +108,34 @@ def test_phase_scores_equal_pressure_report(data, grid):
         assert reward(state, net, inter.id, RewardKind.NEG_QUEUE_LENGTH) == -sum(
             len(state.queues[l]) for l in inter.entering_lanes
         )
+
+
+def test_loaded_grid_has_multi_lane_sets():
+    lanes = _GRIDS["loaded", PhaseScheme.FOUR].lane_table
+    for inter, readable in (("n1_1", 2), ("n1_2", 0)):
+        through = next(m for m in lanes[inter].signalized if m.id == f"{inter}:WT")
+        assert len(through.entering) == 2 and through.n_exiting == 2
+        assert len(through.readable) == readable
+        assert through.entering in lanes[inter].lane_groups
+
+
+def test_scores_follow_the_network_passed_in():
+    """Networks of four and of eight phases, built, scored and collected in
+    turn, so that a new network's lane table reuses the ids of a collected
+    one's: the scores always come from the network passed in."""
+    rng = random.Random(0)
+    for _ in range(8):
+        for scheme in (PhaseScheme.FOUR, PhaseScheme.EIGHT):
+            net = build_grid(2, 2, 300.0, 300.0, scheme)
+            state = _state(net, [rng.randrange(30) for _ in net.lane_index])
+            for inter in net.intersections:
+                report = pressure_report(state, net, inter.id)
+                assert phase_scores(state, net, inter.id) == report.phase_pressures
+                assert phase_scores(state, net, inter.id, efficient=True) == (
+                    report.phase_efficient_pressures
+                )
+            del net, state, report
+            gc.collect()
 
 
 def test_phase_scores_rejects_unknown_intersection():

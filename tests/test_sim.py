@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import ast
 import bisect
+import inspect
 import itertools
 import random
 
@@ -8,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pressim.bench import Asymmetric, generate_synthetic_demand
+from pressim.control import ControllerConfig, PressureController
 from pressim.network import PhaseScheme, build_grid
 from pressim.sim import (
     ConfigurationError,
@@ -23,6 +27,8 @@ from pressim.sim import (
     validate_flows,
     wake_offset,
 )
+from reference import ScanSimulation
+from test_acceptance import _fork
 
 WE = ("boundary:W0__n0_0", "n0_0__boundary:E0")  # west entry, through
 NS = ("boundary:N0__n0_0", "n0_0__boundary:S0")  # north entry, through
@@ -445,3 +451,130 @@ def test_transit_pass_leaves_no_due_head_that_could_move(tick, length, seed):
     ctrl = RandomPhase(4, seed=seed, t_duration=7.0)
     sim.run({"n0_0": ctrl, "n0_1": ctrl})
     assert sim.state.counters.finished > 0
+
+
+class Cycler:
+    """Steps through the phases by a count shared with every other Cycler
+    of one run, so the phases it picks follow the order of the decisions."""
+
+    def __init__(self, t_duration: float, count: list[int]):
+        self.t_duration = t_duration
+        self.count = count
+
+    def observe(self, state, net, intersection):
+        return len(net.intersection_index[intersection].phases)
+
+    def decide(self, n_phases, intersection):
+        self.count[0] += 1
+        return self.count[0] % n_phases
+
+
+# t_duration per intersection: several fall below one tick of the ticks
+# drawn, and an infinite one never comes due
+T_DURATIONS = (0.05, 0.2, 0.3, 1.0, 2.5, 7.3, 15.0, float("inf"))
+_controller_specs = st.lists(
+    st.none() | st.tuples(st.sampled_from(T_DURATIONS), st.sampled_from(["ep", "mp", "cycle"])),
+    min_size=4,
+    max_size=4,
+).filter(lambda spec: any(entry and entry[0] < float("inf") for entry in spec))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    tick=st.sampled_from([0.1, 0.25, 0.3, 0.7, 1.0]),
+    yellow=st.sampled_from([0.0, 0.4, 3.0]),
+    all_red=st.sampled_from([0.0, 0.7, 2.0]),
+    mappings=st.lists(_controller_specs, min_size=1, max_size=3),
+    events=st.lists(
+        st.tuples(
+            st.integers(1, 600),
+            st.sampled_from(["new mapping", "set_phase", "fork"]),
+            st.integers(0, 3),
+            st.integers(0, 3),
+        ),
+        max_size=8,
+    ),
+    seed=st.integers(0, 99),
+)
+def test_decision_calendar_matches_a_scan_of_every_intersection(
+    tick, yellow, all_red, mappings, events, seed
+):
+    """The calendar makes the decisions a check of every intersection on
+    every tick makes, through missing controllers, mappings swapped
+    mid-run, ``set_phase`` calls between steps and forks taken while a
+    signal is in its transition."""
+    net = build_grid(2, 2, 150.0, 150.0)
+    ids = [i.id for i in net.intersections]
+    flows = generate_synthetic_demand(net, Asymmetric(0.3, 0.15), seed, 600.0)
+    config = SimConfig(tick=tick, yellow=yellow, all_red=all_red, lane_capacity=6)
+    runs = [Simulation(net, flows, config), ScanSimulation(net, flows, config)]
+    counts = [[0], [0]]
+
+    def mapping(side: int, spec) -> dict:
+        made = {}
+        for iid, entry in zip(ids, spec):
+            if entry is not None:
+                t_duration, kind = entry
+                made[iid] = (
+                    Cycler(t_duration, counts[side])
+                    if kind == "cycle"
+                    else PressureController(ControllerConfig(t_duration), kind == "ep")
+                )
+        return made
+
+    current = [mapping(side, mappings[0]) for side in (0, 1)]
+    swaps = 0
+    for n in range(1, 601):
+        for at, what, a, b in events:
+            if at != n:
+                continue
+            if what == "new mapping":
+                swaps += 1
+                spec = mappings[swaps % len(mappings)]
+                current = [mapping(side, spec) for side in (0, 1)]
+            for side, sim in enumerate(runs):
+                if what == "set_phase":
+                    sim.set_phase(ids[a], b)
+                elif what == "fork":  # a phase change first: forked mid-transition
+                    signal = sim.state.signals[ids[a]]
+                    sim.set_phase(ids[a], (signal.active + 1) % 4)
+                    runs[side] = _fork(sim)
+        for sim, controllers in zip(runs, current):
+            sim.step(controllers)
+    calendar, scan = runs
+    assert scan.state.counters.decisions > 0
+    assert calendar.state.counters.decisions == scan.state.counters.decisions
+    assert calendar.state_digest() == scan.state_digest()
+    assert counts[0] == counts[1]
+
+
+# the Simulation methods that run on every tick
+TICK_METHODS = (
+    "_spawn",
+    "_advance_signals",
+    "_normalize_transition",
+    "set_phase",
+    "_advance_transit",
+    "_poll",
+    "_discharge",
+)
+
+
+def test_tick_methods_read_enum_members_by_module_name():
+    """The tick loop reads ``VehicleStatus`` and ``TransitionStage`` members
+    through module names (``_QUEUED``, ``_YELLOW``, ...), not through the
+    class, which costs about nine times as much per read."""
+    tree = ast.parse(inspect.getsource(Simulation))
+    methods = {
+        node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+    }
+    assert set(TICK_METHODS) <= set(methods)
+    reads = [
+        f"{name}: {ast.unparse(node)}"
+        for name in TICK_METHODS
+        for node in ast.walk(methods[name])
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in ("VehicleStatus", "TransitionStage")
+    ]
+    assert reads == []
