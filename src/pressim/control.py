@@ -17,6 +17,7 @@ same decisions from a full ``PressureReport``.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -30,8 +31,8 @@ class ControllerConfig:
     t_duration: float = 15.0
 
     def __post_init__(self) -> None:
-        if self.t_duration <= 0:
-            raise ConfigurationError("t_duration must be positive")
+        if not 0 < self.t_duration < math.inf:  # NaN fails it too
+            raise ConfigurationError("t_duration must be positive and finite")
 
 
 def _argmax_lowest(values: Sequence[float]) -> int:

@@ -105,9 +105,9 @@ def lane_stats(state: SimState, net: RoadNetwork, road_id: str) -> list[LaneStat
     """Per-lane occupancy on one road.
 
     In-transit vehicles are attributed to the lane they would join if they
-    all arrived now, in travel order: least-occupied lane designated for the
-    vehicle's next turn, ties to the lowest index. Vehicles on a road that
-    drains to a boundary never join a lane and are not attributed.
+    all arrived now, in travel order: the least-occupied of the lanes its hop
+    plan designates for its next turn, ties to the first. Vehicles on a road
+    that drains to a boundary never join a lane and are not attributed.
     """
     road = net.road_index[road_id]
     queue = {l.id: len(state.queues[l.id]) for l in road.lanes}
@@ -116,8 +116,7 @@ def lane_stats(state: SimState, net: RoadNetwork, road_id: str) -> list[LaneStat
         virtual = dict(queue)
         for _, vid in state.transit[road_id]:
             v = state.vehicles[vid]
-            turn = net.turn_between[(road_id, v.route[v.route_pos + 1])]
-            pick = pick_lane(net.lanes_by_turn[(road_id, turn)], virtual.__getitem__)
+            pick = pick_lane(v.plan[v.route_pos], virtual.__getitem__)
             virtual[pick] += 1
             extra[pick] += 1
     return [

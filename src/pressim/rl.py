@@ -67,8 +67,8 @@ class QLearnerConfig:
     def __post_init__(self) -> None:
         if not 0 <= self.gamma < 1:
             raise ConfigurationError("gamma must be in [0, 1)")
-        if self.learning_rate <= 0:
-            raise ConfigurationError("learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:  # NaN fails it too
+            raise ConfigurationError("learning_rate must be positive and finite")
         if not 0 <= self.epsilon_end <= self.epsilon_start <= 1:
             raise ConfigurationError("need 0 <= epsilon_end <= epsilon_start <= 1")
         if not 0 < self.epsilon_decay <= 1:

@@ -35,19 +35,25 @@ over these tables instead of the network's lookup dicts:
 The tick loop visits only what can change on the tick:
 
 - each intersection keeps an int bitmask of live movements, bit k for the
-  k-th movement of its lane table entry. A visit puts a movement to sleep
-  once its entering lanes are empty and its service credit is full, since
-  a further visit could change nothing; a vehicle joining one of its
-  entering lanes wakes it. Discharge visits the live movements the running
-  phase (or transition) serves, lowest bit first, which is movement order;
+  k-th movement of its lane table entry. Discharge visits the live
+  movements the running phase (or transition) serves, lowest bit first,
+  which is movement order. A visit that finds the service credit full puts
+  a movement to sleep when a further visit could change nothing: when its
+  entering lanes are empty, until a vehicle joins an empty one; or, if it
+  is solo (no other movement enters its lanes), when no head can go, until
+  a vehicle joins an empty lane or pops from a lane some head needs. It
+  then waits on the wait list of each movement entering such a lane, and
+  a pop by that movement wakes it. A movement sharing a lane stays awake,
+  since a co-movement's pop changes its heads partway through the pass;
 - a calendar maps a tick index to the roads whose head vehicle may reach
   the stop line on that tick. A road enters it when its transit deque
   turns non-empty, at its entry tick plus the road's whole-tick travel
   count, and after a visit that leaves a head not yet due. A wake may come
   a tick early, never late (``wake_offset``), and each visit re-checks the
   same ``arrival <= clock + 1e-9`` test a scan of every road would make. A
-  road whose due head finds its stop-line lane full is held until one of
-  its stop-line lanes discharges, and then woken for the next tick;
+  road whose due head finds every candidate lane full is held, waiting on
+  the movements entering those lanes, and woken for the tick after one
+  pops;
 - a decision calendar maps a tick index to the intersections ``_poll``
   checks on it. A check leaving a signal green books the next on the first
   tick whose green, accumulated tick by tick, passes the ``t_duration`` test,
@@ -56,9 +62,10 @@ The tick loop visits only what can change on the tick:
 
 Besides two integer counters (the tick index and the next vehicle id), the
 dynamic state lives in ``state`` and in the movement credits (``_credit``)
-alone. The live masks, the calendars and the held roads are views derived
-from those two, holding the state's own deques; ``step`` rebuilds them
-whenever ``state`` is another object than the one they were built from. A
+alone. The live masks, the calendars, the held roads and the wait lists are
+views derived from those two, holding the state's own deques; ``step``
+rebuilds them whenever ``state`` is another object than the one they were
+built from, with empty wait lists and every non-empty movement live. A
 shallow copy of a ``Simulation`` with ``state`` and ``_credit`` replaced by
 deep copies is therefore an independent fork; it shares the tables above.
 Editing ``state`` in place between steps is not supported, because the
@@ -103,16 +110,17 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.tick <= 0:
-            raise ConfigurationError("tick must be positive")
-        if self.yellow < 0 or self.all_red < 0:
-            raise ConfigurationError("transition intervals must be non-negative")
-        if self.saturation_headway <= 0:
-            raise ConfigurationError("saturation_headway must be positive")
+        # each test is written so that NaN fails it
+        if not 0 < self.tick < math.inf:
+            raise ConfigurationError("tick must be positive and finite")
+        if not (0 <= self.yellow < math.inf and 0 <= self.all_red < math.inf):
+            raise ConfigurationError("transition intervals must be non-negative and finite")
+        if not 0 < self.saturation_headway < math.inf:
+            raise ConfigurationError("saturation_headway must be positive and finite")
         if self.lane_capacity is not None and self.lane_capacity < 1:
             raise ConfigurationError("lane_capacity must be at least 1")
-        if self.episode_length <= 0:
-            raise ConfigurationError("episode_length must be positive")
+        if not 0 < self.episode_length < math.inf:
+            raise ConfigurationError("episode_length must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -305,7 +313,10 @@ class _Move:
     transit: Deque[tuple[float, int]]
     road: int  # the receiving road's index
     hop: int  # whole ticks from entering the receiving road to its wake
-    upstream: tuple[int, ...]  # indices of the roads the entering lanes end
+    solo: bool  # no other movement enters its lanes
+    # what a pop from its lanes wakes: (intersection position, bit) of a
+    # sleeping movement, or the index of a held road
+    waiting: list = field(default_factory=list)
 
 
 class Simulation:
@@ -342,8 +353,7 @@ class Simulation:
         self._phase_count = {i.id: len(i.phases) for i in net.intersections}
         # per intersection: the mask of movements each phase serves, the mask
         # of those a transition serves, and per movement in movement order
-        # (movement, receiving lane capacity, receiving road, its hop, the
-        # roads its entering lanes end)
+        # (movement, receiving lane capacity, receiving road, its hop)
         self._served: list[tuple[str, tuple[int, ...], int, tuple]] = []
         # lane -> (intersection position, mask of the movements it enters)
         joins: dict[str, dict[int, int]] = {}
@@ -358,9 +368,7 @@ class Simulation:
             statics = []
             for k, m in enumerate(movements):
                 road = road_of[m.receiving_road]
-                ends = dict.fromkeys(net.lane_index[l][0].id for l in m.entering)
-                upstream = tuple(road_of[r] for r in ends)
-                statics.append((m, capacity[m.receiving_road], road, max(1, hop[road]), upstream))
+                statics.append((m, capacity[m.receiving_road], road, max(1, hop[road])))
                 for lane in m.entering:
                     masks = joins.setdefault(lane, {})
                     masks[ii] = masks.get(ii, 0) | 1 << k
@@ -403,24 +411,27 @@ class Simulation:
     def _bind(self) -> None:
         """Rebuild the views of ``state`` and ``_credit`` the tick loop reads:
         the roads' transit deques, per intersection its signal state and its
-        movements bound to their queues, the live masks, the calendar and
-        the held roads."""
+        movements bound to their queues, the live masks, the calendar, and
+        no held road and empty wait lists."""
         st = self.state
-        queues, credit = st.queues, self._credit
+        queues, credit, joins = st.queues, self._credit, self._joins
         self._transit = [st.transit[rid] for rid in self._road_ids]
         self._junctions = []
         self._live = []
-        for iid, by_phase, in_transition, statics in self._served:
+        self._waiting = defaultdict(list)  # lane -> wait lists of the movements it enters
+        for ii, (iid, by_phase, in_transition, statics) in enumerate(self._served):
             moves = []
             live = 0
-            for k, (m, capacity, road, hop, upstream) in enumerate(statics):
+            for k, (m, capacity, road, hop) in enumerate(statics):
                 mv = _Move(
                     m.id, 1 << k, tuple(queues[l] for l in m.entering), m.receiving_road,
                     m.receiving_sink, m.travel_time, capacity, self._transit[road], road,
-                    hop, upstream,
+                    hop, all(joins[l] == ((ii, 1 << k),) for l in m.entering),
                 )
                 if any(mv.lanes) or credit[m.id] < 1.0:
                     live |= mv.bit
+                for l in m.entering:
+                    self._waiting[l].append(mv.waiting)
                 moves.append(mv)
             self._junctions.append((st.signals[iid], by_phase, in_transition, tuple(moves)))
             self._live.append(live)
@@ -567,16 +578,18 @@ class Simulation:
                 lane = lanes[0] if len(lanes) == 1 else self._pick_lane(lanes)
                 q = queues[lane]
                 if len(q) >= capacity:
-                    # stop line full: the road holds this and all behind it
-                    # until one of its stop-line lanes discharges
+                    # every candidate lane full: the road holds this and all
+                    # behind it until one of them discharges
                     self._held[r] = True
+                    self._wait_on(lanes, r)
                     break
                 dq.popleft()
+                if not q:  # a new head: the lane's movements may move it
+                    for ii, bits in joins[lane]:
+                        live[ii] |= bits
                 q.append(v.id)
                 joined += 1
                 v.status = _QUEUED
-                for ii, bits in joins[lane]:
-                    live[ii] |= bits
             else:
                 if dq:  # woken early, or the next head is not yet due
                     wake = n + wake_offset(dq[0][0] - clock, tick)
@@ -675,8 +688,18 @@ class Simulation:
                             if len(queues[target]) >= mv.capacity:
                                 continue
                         break
-                    else:
-                        break  # no head can go
+                    else:  # no head can go
+                        if c >= 1.0 and mv.solo:
+                            # nor can one until a lane a head needs pops or
+                            # a vehicle joins an empty entering lane
+                            for q in mv.lanes:
+                                if q:
+                                    v = vehicles[q[0]]
+                                    pos = v.route_pos + 1
+                                    if v.route[pos] == mv.receiving_road:
+                                        self._wait_on(v.plan[pos], (ii, mv.bit))
+                            live[ii] ^= mv.bit
+                        break
                     q.popleft()
                     st.total_queued -= 1
                     v.route_pos = pos
@@ -684,12 +707,23 @@ class Simulation:
                     if not mv.transit:
                         calendar[n + mv.hop].append(mv.road)
                     mv.transit.append((st.clock + mv.travel_time, v.id))
-                    for r in mv.upstream:  # a held road's stop line has room again
-                        if held[r]:
-                            held[r] = False
-                            calendar[n + 1].append(r)
+                    w = mv.waiting
+                    if w:  # wake what waits on this pop
+                        for e in w:
+                            if e.__class__ is tuple:
+                                live[e[0]] |= e[1]
+                            elif held[e]:  # a held road: visit it next tick
+                                held[e] = False
+                                calendar[n + 1].append(e)
+                        w.clear()
                     c -= 1.0
                 credit[mv.id] = c if c < 1.0 else 1.0
+
+    def _wait_on(self, lanes: tuple[str, ...], entry) -> None:
+        """Put ``entry`` on the wait list of each movement entering ``lanes``."""
+        for lane in lanes:
+            for w in self._waiting[lane]:
+                w.append(entry)
 
     # -- inspection ---------------------------------------------------------
 

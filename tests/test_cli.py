@@ -366,12 +366,17 @@ def test_env_var_changes_t_duration(grid_file, flows_file, tmp_path, monkeypatch
     assert decisions[1] > decisions[0]
 
 
+def _child_env() -> dict:
+    """The environment of a child that imports the pressim these tests
+    import, installed or not."""
+    src = str(Path(pressim.__file__).parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+
 def test_console_entry_point(tmp_path):
     path = tmp_path / "sub_grid.json"
-    # the child imports the pressim these tests import, installed or not
-    src = str(Path(pressim.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    env = _child_env()
     proc = subprocess.run(
         [sys.executable, "-m", "pressim.cli", "gen-grid", "--rows", "1", "--cols", "2",
          "--ew-m", "300", "--sn-m", "300", "--out", str(path)],
@@ -379,3 +384,27 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "2 intersections" in proc.stdout
+
+
+def test_python_dash_m_pressim(grid_file):
+    def pressim(*args):
+        return subprocess.run([sys.executable, "-m", "pressim", *args],
+                              capture_output=True, text=True, env=_child_env())
+
+    proc = pressim("--help")
+    assert proc.returncode == 0, proc.stderr
+    assert "gen-grid" in proc.stdout
+    for value in ("inf", "nan"):
+        proc = pressim("run", "--network", str(grid_file), "--demand", "uniform:0.1",
+                       "--controller", "mp", "--episode-length", value)
+        assert proc.returncode == 2, proc.stderr
+        assert "episode_length must be positive and finite" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_t_duration_exits_2(grid_file, capsys, value):
+    args = ["run", "--network", str(grid_file), "--demand", "uniform:0.1",
+            "--controller", "mp", "--episode-length", "120", "--t-duration", value]
+    assert main(args) == 2
+    assert "t_duration must be positive and finite" in capsys.readouterr().err

@@ -156,8 +156,9 @@ def test_pressure_controller_clears_standing_queue():
 
 
 def test_controller_config_validation():
-    with pytest.raises(ConfigurationError):
-        ControllerConfig(t_duration=0)
+    for bad in (0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigurationError):
+            ControllerConfig(t_duration=bad)
     cfg = ControllerConfig(t_duration=10)
     assert PressureController(cfg).t_duration == 10
 

@@ -58,6 +58,8 @@ def test_config_validation():
         {"gamma": 1.0},
         {"gamma": -0.1},
         {"learning_rate": 0.0},
+        {"learning_rate": float("nan")},
+        {"learning_rate": float("inf")},
         {"epsilon_start": 0.5, "epsilon_end": 0.6},
         {"epsilon_decay": 0.0},
         {"batch_size": 0},

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pressim.bench import Asymmetric, generate_synthetic_demand
-from pressim.control import ControllerConfig, PressureController
+from pressim.control import ControllerConfig, PressureController, make_controllers
 from pressim.network import PhaseScheme, build_grid
 from pressim.sim import (
     ConfigurationError,
@@ -27,8 +27,9 @@ from pressim.sim import (
     validate_flows,
     wake_offset,
 )
-from reference import ScanSimulation
+from reference import AwakeSimulation, ScanSimulation
 from test_acceptance import _fork
+from test_fastpaths import _loaded_grid
 
 WE = ("boundary:W0__n0_0", "n0_0__boundary:E0")  # west entry, through
 NS = ("boundary:N0__n0_0", "n0_0__boundary:S0")  # north entry, through
@@ -342,6 +343,10 @@ def test_sim_config_validation():
     ):
         with pytest.raises(ConfigurationError):
             SimConfig(**kwargs)
+    for name in ("tick", "yellow", "all_red", "saturation_headway", "episode_length"):
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError, match="finite"):
+                SimConfig(**{name: value})
 
 
 def test_flow_round_trip(tmp_path):
@@ -470,7 +475,8 @@ class Cycler:
 
 
 # t_duration per intersection: several fall below one tick of the ticks
-# drawn, and an infinite one never comes due
+# drawn, and an infinite one never comes due. ControllerConfig rejects an
+# infinite t_duration, so a Cycler carries that one whatever the kind drawn
 T_DURATIONS = (0.05, 0.2, 0.3, 1.0, 2.5, 7.3, 15.0, float("inf"))
 _controller_specs = st.lists(
     st.none() | st.tuples(st.sampled_from(T_DURATIONS), st.sampled_from(["ep", "mp", "cycle"])),
@@ -517,7 +523,7 @@ def test_decision_calendar_matches_a_scan_of_every_intersection(
                 t_duration, kind = entry
                 made[iid] = (
                     Cycler(t_duration, counts[side])
-                    if kind == "cycle"
+                    if kind == "cycle" or t_duration == float("inf")
                     else PressureController(ControllerConfig(t_duration), kind == "ep")
                 )
         return made
@@ -546,6 +552,129 @@ def test_decision_calendar_matches_a_scan_of_every_intersection(
     assert calendar.state.counters.decisions == scan.state.counters.decisions
     assert calendar.state_digest() == scan.state_digest()
     assert counts[0] == counts[1]
+
+
+# -- wait lists -----------------------------------------------------------------
+
+_WAIT_GRIDS = {
+    **{
+        (rows, cols, lanes): build_grid(rows, cols, 120.0, 150.0, lanes_per_approach=lanes)
+        for rows, cols in ((1, 2), (2, 2))
+        for lanes in (1, 3)
+    },
+    "loaded 3x3": _loaded_grid(),  # one through movement enters from two lanes
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    grid=st.sampled_from(sorted(_WAIT_GRIDS, key=str)),
+    tick=st.sampled_from([0.3, 1.0]),
+    capacity=st.sampled_from([1, 2, 4]),
+    headway=st.sampled_from([1.0, 2.0, 2.5]),
+    controller=st.sampled_from(["random", "efficient-mp", "mp"]),
+    fork_at=st.none() | st.integers(1, 500),
+    seed=st.integers(0, 99),
+)
+def test_wait_lists_match_visiting_every_live_movement(
+    grid, tick, capacity, headway, controller, fork_at, seed
+):
+    """Sleeping blocked movements and roads held on wait lists give, at
+    every checkpoint, the state of an engine that visits every served live
+    movement on every tick and wakes a held road on any pop from its stop
+    line: congested grids with shared and solo lanes, forks mid-run."""
+    net = _WAIT_GRIDS[grid]
+    flows = generate_synthetic_demand(net, Asymmetric(0.3, 0.15), seed, 600.0)
+    config = SimConfig(
+        tick=tick, saturation_headway=headway, lane_capacity=capacity, episode_length=600.0
+    )
+    runs = [Simulation(net, flows, config), AwakeSimulation(net, flows, config)]
+
+    def controllers():
+        if controller == "random":
+            ctrl = RandomPhase(len(net.intersections[0].phases), seed, t_duration=9.0)
+            return {i.id: ctrl for i in net.intersections}
+        return make_controllers(net, controller, ControllerConfig(9.0))
+
+    mappings = [controllers(), controllers()]
+    for n in range(1, round(600.0 / tick) + 1):
+        if n == fork_at:
+            runs = [_fork(sim) for sim in runs]
+        for sim, mapping in zip(runs, mappings):
+            sim.step(mapping)
+        if n % 100 == 0:
+            waits, awake = runs
+            assert waits.state.counters == awake.state.counters, n
+            assert waits.state_digest() == awake.state_digest(), n
+    assert runs[0].state.counters.blocked > 0
+
+
+def test_blocked_solo_movement_sleeps_until_its_downstream_lane_pops():
+    """n0_0's west through movement, the only one entering its lane, finds
+    its downstream lane full while n0_1 shows red to that lane: it leaves
+    the live mask on the tick it fails, stays out while vehicles join
+    behind its head, and is live again on the tick n0_1 pops the lane."""
+    net = build_grid(1, 2, 75.0, 75.0)  # 10 vehicles a lane
+    route = ("boundary:W0__n0_0", "n0_0__n0_1", "n0_1__boundary:E0")
+    sim = Simulation(net, [FlowSpec(route, 1.0, 600.0, 2.0)], SimConfig(episode_length=600.0))
+    sim.set_phase("n0_0", 1)  # east-west through; n0_1 keeps north-south
+    bit = 1 << [m.id for m in net.lane_table["n0_0"].movements].index("n0_0:WT")
+    entering = sim.state.queues["boundary:W0__n0_0#1"]
+    downstream = sim.state.queues["n0_0__n0_1#1"]
+    for _ in range(300):
+        sim.step({})
+        # full credit at the end of a tick with a head waiting: its visit failed
+        if entering and sim._credit["n0_0:WT"] == 1.0:
+            break
+    assert len(downstream) == 10
+    assert not sim._live[0] & bit
+    waiting = len(entering)
+    for _ in range(20):
+        sim.step({})
+        assert not sim._live[0] & bit
+    assert len(entering) > waiting  # vehicles joined behind the head
+    sim.set_phase("n0_1", 1)
+    for _ in range(60):
+        head = downstream[0]
+        assert not sim._live[0] & bit
+        sim.step({})
+        if downstream[0] != head:  # n0_1 popped the lane
+            break
+    assert sim._live[0] & bit
+
+
+def test_sleepers_wait_on_every_lane_their_heads_need():
+    """After every tick of a congested run on the loaded 3x3 grid, where a
+    through head may go to either of two lanes: each solo movement asleep
+    with a head waiting is on the wait list of every movement entering a
+    candidate lane of each head bound its way, and each held road on those
+    of its due head's candidate lanes."""
+    net = _WAIT_GRIDS["loaded 3x3"]
+    flows = generate_synthetic_demand(net, Asymmetric(0.3, 0.15), 2, 600.0)
+    sim = Simulation(net, flows, SimConfig(lane_capacity=4, episode_length=600.0))
+    controllers = make_controllers(net, "efficient-mp", ControllerConfig(9.0))
+    two_lane_waits = holds = 0
+    for _ in range(600):
+        sim.step(controllers)
+        vehicles = sim.state.vehicles
+        for ii, (_, _, _, moves) in enumerate(sim._junctions):
+            for mv in moves:
+                if sim._live[ii] & mv.bit or not any(mv.lanes):
+                    continue
+                for q in filter(None, mv.lanes):
+                    v = vehicles[q[0]]
+                    if v.route[v.route_pos + 1] == mv.receiving_road:
+                        lanes = v.plan[v.route_pos + 1]
+                        two_lane_waits += len(lanes) > 1
+                        for lane in lanes:
+                            assert all((ii, mv.bit) in w for w in sim._waiting[lane])
+        for r, dq in enumerate(sim._transit):
+            if sim._held[r]:
+                holds += 1
+                v = vehicles[dq[0][1]]
+                for lane in v.plan[v.route_pos]:
+                    assert all(r in w for w in sim._waiting[lane])
+    assert two_lane_waits > 0 and holds > 0
 
 
 # the Simulation methods that run on every tick
