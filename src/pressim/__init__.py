@@ -10,7 +10,7 @@ from pressim.network import (
     save_network,
     validate,
 )
-from pressim.pressure import RewardKind, StateKind, extract_state, pressure_report
+from pressim.pressure import RewardKind, StateKind, extract_state
 from pressim.sim import (
     ConfigurationError,
     FlowSpec,
@@ -36,7 +36,6 @@ __all__ = [
     "load_flows",
     "load_network",
     "make_controllers",
-    "pressure_report",
     "save_flows",
     "save_network",
     "validate",

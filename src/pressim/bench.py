@@ -116,9 +116,20 @@ def run_episode(
 # -- synthetic demand -------------------------------------------------------
 
 
+def _check_rates(*rates: float) -> None:
+    if not all(0 < r <= 1.0 for r in rates):  # NaN fails it too
+        raise ConfigurationError(
+            "demand rates must be positive and at most 1 vehicle/s,"
+            " what one entry lane admits per tick"
+        )
+
+
 @dataclass(frozen=True)
 class Uniform:
     rate: float  # vehicles per second per route
+
+    def __post_init__(self) -> None:
+        _check_rates(self.rate)
 
 
 @dataclass(frozen=True)
@@ -126,12 +137,20 @@ class Asymmetric:
     major_rate: float  # east-west entries
     minor_rate: float  # north-south entries
 
+    def __post_init__(self) -> None:
+        _check_rates(self.major_rate, self.minor_rate)
+
 
 @dataclass(frozen=True)
 class Peaked:
     base_rate: float
     peak_rate: float
     window: tuple[float, float]
+
+    def __post_init__(self) -> None:
+        _check_rates(self.base_rate, self.peak_rate)
+        if self.peak_rate <= self.base_rate:
+            raise ConfigurationError("peak_rate must exceed base_rate")
 
 
 DemandProfile = Union[Uniform, Asymmetric, Peaked]
@@ -161,14 +180,6 @@ def _route_rate(entry: Road, profile: DemandProfile) -> float:
     return profile.base_rate
 
 
-def _profile_rates(profile: DemandProfile) -> list[float]:
-    if isinstance(profile, Uniform):
-        return [profile.rate]
-    if isinstance(profile, Asymmetric):
-        return [profile.major_rate, profile.minor_rate]
-    return [profile.base_rate, profile.peak_rate]
-
-
 def generate_synthetic_demand(
     net: RoadNetwork,
     profile: DemandProfile,
@@ -184,16 +195,7 @@ def generate_synthetic_demand(
     seed staggers each flow's first release within one headway so distinct
     seeds give distinct (but statistically identical) traffic.
     """
-    rates = _profile_rates(profile)
-    if any(r <= 0 for r in rates):
-        raise ConfigurationError("demand rates must be positive")
-    if any(r > 1.0 for r in rates):
-        raise ConfigurationError(
-            "rates above 1 vehicle/s exceed what one entry lane admits per tick"
-        )
     if isinstance(profile, Peaked):
-        if profile.peak_rate <= profile.base_rate:
-            raise ConfigurationError("peak_rate must exceed base_rate")
         lo, hi = profile.window
         if not 0 <= lo < hi <= horizon_s:
             raise ConfigurationError("peak window must fit inside the horizon")

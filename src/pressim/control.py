@@ -10,8 +10,7 @@ some phase runs regardless, so pick the least bad.
 
 The controller reads its scores through ``pressure.phase_scores``, which
 returns phase i's score at position i; phase ids are their positions, as
-the engine assumes too. ``mp_decide`` and ``efficient_mp_decide`` take the
-same decisions from a full ``PressureReport``.
+the engine assumes too.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from pressim.network import Phase, RoadNetwork
-from pressim.pressure import PressureReport, phase_scores
+from pressim.pressure import phase_scores
 from pressim.sim import ConfigurationError, SimState
 
 
@@ -47,18 +46,6 @@ def fixed_time_decide(current_phase: int, phases: Sequence[Phase]) -> int:
     """Next phase in cyclic order."""
     ids = [p.id for p in phases]
     return ids[(ids.index(current_phase) + 1) % len(ids)]
-
-
-def mp_decide(report: PressureReport, phases: Sequence[Phase]) -> int:
-    """Phase with maximum phase pressure."""
-    values = [report.phase_pressures[p.id] for p in phases]
-    return phases[_argmax_lowest(values)].id
-
-
-def efficient_mp_decide(report: PressureReport, phases: Sequence[Phase]) -> int:
-    """Phase with maximum phase efficient pressure."""
-    values = [report.phase_efficient_pressures[p.id] for p in phases]
-    return phases[_argmax_lowest(values)].id
 
 
 class Controller:

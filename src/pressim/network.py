@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -44,10 +45,6 @@ class Compass(Enum):
 class PhaseScheme(Enum):
     FOUR = "4-phase"
     EIGHT = "8-phase"
-
-    @property
-    def phase_count(self) -> int:
-        return 4 if self is PhaseScheme.FOUR else 8
 
 
 #: File-format marker for a road endpoint that leaves the modeled area.
@@ -128,14 +125,6 @@ class Intersection:
     exiting_lanes: frozenset[str]
     movements: tuple[TrafficMovement, ...]
     phases: tuple[Phase, ...]
-
-    @property
-    def signalized_movements(self) -> tuple[TrafficMovement, ...]:
-        return tuple(m for m in self.movements if m.signalized)
-
-    @property
-    def right_turn_movements(self) -> tuple[TrafficMovement, ...]:
-        return tuple(m for m in self.movements if not m.signalized)
 
     def movement(self, movement_id: str) -> TrafficMovement:
         for m in self.movements:
@@ -252,9 +241,6 @@ class RoadNetwork:
         for road in self.roads:
             for lane in road.lanes:
                 self.lane_index[lane.id] = (road, lane)
-        self.movement_index: dict[str, TrafficMovement] = {
-            m.id: m for i in self.intersections for m in i.movements
-        }
 
         # (entry road, exit road) -> turn, from the movements whose first
         # entering and first exiting lane resolve; validate reports the rest
@@ -319,9 +305,6 @@ class RoadNetwork:
         """True when the road drains to a boundary sink."""
         return self.is_boundary(self.road_index[road_id].dst)
 
-    def exit_roads(self, intersection_id: str) -> tuple[Road, ...]:
-        return tuple(r for r in self.roads if r.src == intersection_id)
-
     def entry_roads(self) -> tuple[Road, ...]:
         """Roads entering the network from a boundary source."""
         return tuple(r for r in self.roads if self.is_boundary(r.src))
@@ -343,10 +326,10 @@ def validate(net: RoadNetwork) -> list[Violation]:
     for road in net.roads:
         if not road.lanes:
             out.append(Violation(road.id, "road has no lanes"))
-        if road.length_m <= 0:
-            out.append(Violation(road.id, "length must be positive"))
-        if road.speed_mps <= 0:
-            out.append(Violation(road.id, "free-flow speed must be positive"))
+        if not 0 < road.length_m < math.inf:  # NaN fails it too
+            out.append(Violation(road.id, "length must be positive and finite"))
+        if not 0 < road.speed_mps < math.inf:
+            out.append(Violation(road.id, "free-flow speed must be positive and finite"))
         if net.is_boundary(road.src) and net.is_boundary(road.dst):
             out.append(Violation(road.id, "both endpoints are boundary markers"))
         for endpoint in (road.src, road.dst):
@@ -430,7 +413,7 @@ def _lane_designations(lanes_per_approach: int) -> tuple[frozenset[Turn], ...]:
         )
     if lanes_per_approach == 1:
         return (frozenset({Turn.LEFT, Turn.THROUGH, Turn.RIGHT}),)
-    raise ValueError("lanes_per_approach must be 1 or 3")
+    raise ConfigurationError("lanes_per_approach must be 1 or 3")
 
 
 def build_grid(
@@ -451,11 +434,11 @@ def build_grid(
     one exclusive lane per turn; 1 gives a single shared lane).
     """
     if rows < 1 or cols < 1:
-        raise ValueError("grid must have at least one row and one column")
-    if ew_length_m <= 0 or sn_length_m <= 0:
-        raise ValueError("road lengths must be positive")
-    if speed_mps <= 0:
-        raise ValueError("free-flow speed must be positive")
+        raise ConfigurationError("grid must have at least one row and one column")
+    if not (0 < ew_length_m < math.inf and 0 < sn_length_m < math.inf):  # NaN fails
+        raise ConfigurationError("road lengths must be positive and finite")
+    if not 0 < speed_mps < math.inf:
+        raise ConfigurationError("free-flow speed must be positive and finite")
     designations = _lane_designations(lanes_per_approach)
 
     def node(r: int, c: int) -> str:

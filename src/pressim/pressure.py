@@ -11,10 +11,10 @@ Downstream queues are read at the receiving road's stop line, the queue a
 crossing vehicle actually joins; roads draining to a boundary read 0.
 
 Everything here is a pure function over a state snapshot and is safe to
-evaluate concurrently across intersections. The per-movement functions are
-the readable reference, which only tests call. ``phase_scores``, which
+evaluate concurrently across intersections. ``phase_scores``, which
 controllers poll, and ``extract_state`` and ``reward``, which the learner
-reads, run over the network's ``lane_table`` and return the same values.
+reads, run over the network's ``lane_table``; the tests check them against
+a per-movement reference of the definitions above.
 """
 
 from __future__ import annotations
@@ -26,13 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from pressim.network import (
-    Intersection,
-    IntersectionLanes,
-    Phase,
-    RoadNetwork,
-    TrafficMovement,
-)
+from pressim.network import IntersectionLanes, RoadNetwork
 from pressim.sim import ConfigurationError, SimState, pick_lane
 
 
@@ -73,27 +67,6 @@ def efficient_pressure(entering: Sequence[float], exiting: Sequence[float]) -> f
 # -- reading queues from a state snapshot -----------------------------------
 
 
-def downstream_queue(state: SimState, net: RoadNetwork, lane_id: str) -> int:
-    """Queue a vehicle leaving onto this lane would find; 0 past a boundary."""
-    road, _ = net.lane_index[lane_id]
-    return 0 if net.is_boundary(road.dst) else len(state.queues[lane_id])
-
-
-def _require_intersection(net: RoadNetwork, intersection: str) -> Intersection:
-    try:
-        return net.intersection_index[intersection]
-    except KeyError:
-        raise ConfigurationError(f"unknown intersection {intersection!r}") from None
-
-
-def intersection_pressure(state: SimState, net: RoadNetwork, intersection: str) -> int:
-    """Total entering queue minus total downstream queue at one junction."""
-    inter = _require_intersection(net, intersection)
-    entering = sum(len(state.queues[l]) for l in inter.entering_lanes)
-    exiting = sum(downstream_queue(state, net, l) for l in inter.exiting_lanes)
-    return entering - exiting
-
-
 @dataclass(frozen=True)
 class LaneStats:
     lane: str
@@ -125,72 +98,6 @@ def lane_stats(state: SimState, net: RoadNetwork, road_id: str) -> list[LaneStat
     ]
 
 
-def _paired_exit_lane(net: RoadNetwork, m: TrafficMovement, entering_lane: str) -> str:
-    """Exit lane paired with an entering lane: same index on the receiving
-    road, clamped to its lane count."""
-    index = net.lane_index[entering_lane][1].index
-    receiving = net.lane_index[m.exiting[0]][0]
-    return receiving.lanes[min(index, len(receiving.lanes) - 1)].id
-
-
-def movement_queue_pressure(state: SimState, net: RoadNetwork, m: TrafficMovement) -> int:
-    return sum(
-        movement_pressure(
-            len(state.queues[l]),
-            downstream_queue(state, net, _paired_exit_lane(net, m, l)),
-        )
-        for l in m.entering
-    )
-
-
-def etm_efficient_pressure(state: SimState, net: RoadNetwork, m: TrafficMovement) -> float:
-    entering = [len(state.queues[l]) for l in m.entering]
-    exiting = [downstream_queue(state, net, l) for l in m.exiting]
-    return efficient_pressure(entering, exiting)
-
-
-def phase_efficient_pressure(state: SimState, net: RoadNetwork, phase: Phase) -> float:
-    a, b = (net.movement_index[mid] for mid in phase.movements)
-    return etm_efficient_pressure(state, net, a) + etm_efficient_pressure(state, net, b)
-
-
-# -- per-intersection report for pressure-driven controllers ----------------
-
-
-@dataclass(frozen=True)
-class PressureReport:
-    intersection: str
-    current_phase: int
-    movement_pressures: dict[str, int]  # every movement, by id
-    etm_pressures: dict[str, float]  # signalized movements only
-    phase_pressures: tuple[int, ...]
-    phase_efficient_pressures: tuple[float, ...]
-    intersection_pressure: int
-
-
-def pressure_report(state: SimState, net: RoadNetwork, intersection: str) -> PressureReport:
-    inter = _require_intersection(net, intersection)
-    mp = {m.id: movement_queue_pressure(state, net, m) for m in inter.movements}
-    ep = {
-        m.id: etm_efficient_pressure(state, net, m)
-        for m in inter.signalized_movements
-    }
-    return PressureReport(
-        intersection=intersection,
-        current_phase=state.signals[intersection].active,
-        movement_pressures=mp,
-        etm_pressures=ep,
-        phase_pressures=tuple(
-            phase_pressure(mp[p.movements[0]], mp[p.movements[1]])
-            for p in inter.phases
-        ),
-        phase_efficient_pressures=tuple(
-            ep[p.movements[0]] + ep[p.movements[1]] for p in inter.phases
-        ),
-        intersection_pressure=intersection_pressure(state, net, intersection),
-    )
-
-
 # -- the fast path, over the network's lane table ---------------------------
 
 
@@ -203,10 +110,10 @@ def _lanes(net: RoadNetwork, intersection: str) -> IntersectionLanes:
 
 
 def _movement_scores(state: SimState, lanes: IntersectionLanes, efficient: bool) -> list:
-    """``movement_queue_pressure``, or ``etm_efficient_pressure`` with
-    ``efficient``, per signalized movement. Each distinct lane set's queue
-    total is taken once; an efficient pressure is summed as the reference
-    sums it: ``sum / n`` of integer queues equals their ``fmean``."""
+    """Queue pressure, or efficient pressure with ``efficient``, per
+    signalized movement. Each distinct lane set's queue total is taken once;
+    an efficient pressure is ``sum / n`` of integer queues, which equals
+    the ``fmean`` that ``efficient_pressure`` takes."""
     queues = state.queues
     total = [len(queues[l]) for l in lanes.single_lanes]
     queue = queues.__getitem__
@@ -219,32 +126,11 @@ def _movement_scores(state: SimState, lanes: IntersectionLanes, efficient: bool)
 def phase_scores(
     state: SimState, net: RoadNetwork, intersection: str, efficient: bool = False
 ) -> tuple:
-    """Per-phase pressures, or efficient pressures with ``efficient``.
-
-    Equal, value for value, to ``pressure_report``'s ``phase_pressures`` and
-    ``phase_efficient_pressures``: movement a plus movement b.
-    """
+    """Per-phase pressures, or efficient pressures with ``efficient``:
+    movement a plus movement b, phase i at position i."""
     lanes = _lanes(net, intersection)
     score = _movement_scores(state, lanes, efficient)
     return tuple(score[a] + score[b] for a, b in lanes.phases)
-
-
-REPORT_HEADER = ("tick", "intersection", "phase", "p_s", "ep_s", "P_i")
-
-
-def report_rows(report: PressureReport, tick: float) -> list[tuple]:
-    """One row per phase for the harness CSVs."""
-    return [
-        (
-            tick,
-            report.intersection,
-            phase,
-            report.phase_pressures[phase],
-            round(report.phase_efficient_pressures[phase], 6),
-            report.intersection_pressure,
-        )
-        for phase in range(len(report.phase_pressures))
-    ]
 
 
 # -- observation vectors for learning controllers ---------------------------

@@ -350,7 +350,7 @@ class Simulation:
         # per road: whole ticks from a vehicle entering it to the road's wake
         hop = [wake_offset(r.travel_time, config.tick) for r in net.roads]
         self._intersection_ids = [i.id for i in net.intersections]
-        self._phase_count = {i.id: len(i.phases) for i in net.intersections}
+        self._n_phases = {i.id: len(i.phases) for i in net.intersections}
         # per intersection: the mask of movements each phase serves, the mask
         # of those a transition serves, and per movement in movement order
         # (movement, receiving lane capacity, receiving road, its hop)
@@ -509,7 +509,7 @@ class Simulation:
     def set_phase(self, intersection: str, phase: int) -> None:
         """Request a phase; no-op while a transition is underway."""
         sig = self.state.signals[intersection]
-        n_phases = self._phase_count[intersection]
+        n_phases = self._n_phases[intersection]
         if not 0 <= phase < n_phases:
             raise ConfigurationError(
                 f"{intersection}: phase {phase} out of range 0..{n_phases - 1}"
@@ -778,6 +778,17 @@ class Simulation:
 # Flow validation and serialization
 
 
+def _timing_problems(f: FlowSpec) -> list[str]:
+    problems = []
+    if not 0 < f.headway_s < math.inf:  # NaN fails it too
+        problems.append("headway_s must be positive and finite")
+    if not (math.isfinite(f.start_s) and math.isfinite(f.end_s)):
+        problems.append("start_s and end_s must be finite")
+    elif f.end_s < f.start_s:
+        problems.append("end_s before start_s")
+    return problems
+
+
 def validate_flows(net: RoadNetwork, flows: list[FlowSpec]) -> list[str]:
     problems = []
     for i, f in enumerate(flows):
@@ -799,10 +810,7 @@ def validate_flows(net: RoadNetwork, flows: list[FlowSpec]) -> list[str]:
                 problems.append(f"{tag}: {a} does not connect to {b}")
             elif (a, b) not in net.turn_between:
                 problems.append(f"{tag}: no movement links {a} to {b}")
-        if f.headway_s <= 0:
-            problems.append(f"{tag}: headway_s must be positive")
-        if f.end_s < f.start_s:
-            problems.append(f"{tag}: end_s before start_s")
+        problems += [f"{tag}: {p}" for p in _timing_problems(f)]
     return problems
 
 
@@ -820,11 +828,13 @@ def flows_to_list(flows: list[FlowSpec]) -> list[dict]:
 
 @parser
 def flows_from_list(doc: object) -> list[FlowSpec]:
+    """Flow records; bad release times fail here, routes when a simulation
+    checks them against its network."""
     if isinstance(doc, dict):
         doc = doc["flows"]
     if not isinstance(doc, list):
         raise ConfigurationError("flow file must hold a list of flow records")
-    return [
+    flows = [
         FlowSpec(
             route=tuple(rec["route"]),
             start_s=float(rec["start_s"]),
@@ -833,6 +843,10 @@ def flows_from_list(doc: object) -> list[FlowSpec]:
         )
         for rec in doc
     ]
+    problems = [f"flow[{i}]: {p}" for i, f in enumerate(flows) for p in _timing_problems(f)]
+    if problems:
+        raise ConfigurationError("; ".join(problems))
+    return flows
 
 
 def save_flows(flows: list[FlowSpec], path: str | Path) -> None:

@@ -1,8 +1,141 @@
-"""Readable references the engine's fast paths are checked against."""
+"""Readable references the engine's fast paths are checked against.
+
+The per-movement pressure functions and the deciders that read their
+report follow the paper's definitions one movement at a time: the lane
+table's ``phase_scores``, ``extract_state`` and ``reward`` must return
+exactly what they compute. The simulations below are the engine with a
+full scan in place of a calendar or wait list.
+"""
 
 from __future__ import annotations
 
-from pressim.sim import _EPS, Simulation, VehicleStatus, wake_offset
+from dataclasses import dataclass
+from typing import Sequence
+
+from pressim.control import _argmax_lowest
+from pressim.network import Intersection, Phase, RoadNetwork, TrafficMovement
+from pressim.pressure import efficient_pressure, movement_pressure, phase_pressure
+from pressim.sim import (
+    _EPS,
+    ConfigurationError,
+    SimState,
+    Simulation,
+    VehicleStatus,
+    wake_offset,
+)
+
+
+def movement_index(net: RoadNetwork) -> dict[str, TrafficMovement]:
+    return {m.id: m for i in net.intersections for m in i.movements}
+
+
+def signalized_movements(inter: Intersection) -> tuple[TrafficMovement, ...]:
+    return tuple(m for m in inter.movements if m.signalized)
+
+
+# -- reading queues from a state snapshot -----------------------------------
+
+
+def downstream_queue(state: SimState, net: RoadNetwork, lane_id: str) -> int:
+    """Queue a vehicle leaving onto this lane would find; 0 past a boundary."""
+    road, _ = net.lane_index[lane_id]
+    return 0 if net.is_boundary(road.dst) else len(state.queues[lane_id])
+
+
+def _require_intersection(net: RoadNetwork, intersection: str) -> Intersection:
+    try:
+        return net.intersection_index[intersection]
+    except KeyError:
+        raise ConfigurationError(f"unknown intersection {intersection!r}") from None
+
+
+def intersection_pressure(state: SimState, net: RoadNetwork, intersection: str) -> int:
+    """Total entering queue minus total downstream queue at one junction."""
+    inter = _require_intersection(net, intersection)
+    entering = sum(len(state.queues[l]) for l in inter.entering_lanes)
+    exiting = sum(downstream_queue(state, net, l) for l in inter.exiting_lanes)
+    return entering - exiting
+
+
+def _paired_exit_lane(net: RoadNetwork, m: TrafficMovement, entering_lane: str) -> str:
+    """Exit lane paired with an entering lane: same index on the receiving
+    road, clamped to its lane count."""
+    index = net.lane_index[entering_lane][1].index
+    receiving = net.lane_index[m.exiting[0]][0]
+    return receiving.lanes[min(index, len(receiving.lanes) - 1)].id
+
+
+def movement_queue_pressure(state: SimState, net: RoadNetwork, m: TrafficMovement) -> int:
+    return sum(
+        movement_pressure(
+            len(state.queues[l]),
+            downstream_queue(state, net, _paired_exit_lane(net, m, l)),
+        )
+        for l in m.entering
+    )
+
+
+def etm_efficient_pressure(state: SimState, net: RoadNetwork, m: TrafficMovement) -> float:
+    entering = [len(state.queues[l]) for l in m.entering]
+    exiting = [downstream_queue(state, net, l) for l in m.exiting]
+    return efficient_pressure(entering, exiting)
+
+
+def phase_efficient_pressure(state: SimState, net: RoadNetwork, phase: Phase) -> float:
+    a, b = (movement_index(net)[mid] for mid in phase.movements)
+    return etm_efficient_pressure(state, net, a) + etm_efficient_pressure(state, net, b)
+
+
+# -- per-intersection report for pressure-driven controllers ----------------
+
+
+@dataclass(frozen=True)
+class PressureReport:
+    intersection: str
+    current_phase: int
+    movement_pressures: dict[str, int]  # every movement, by id
+    etm_pressures: dict[str, float]  # signalized movements only
+    phase_pressures: tuple[int, ...]
+    phase_efficient_pressures: tuple[float, ...]
+    intersection_pressure: int
+
+
+def pressure_report(state: SimState, net: RoadNetwork, intersection: str) -> PressureReport:
+    inter = _require_intersection(net, intersection)
+    mp = {m.id: movement_queue_pressure(state, net, m) for m in inter.movements}
+    ep = {
+        m.id: etm_efficient_pressure(state, net, m)
+        for m in signalized_movements(inter)
+    }
+    return PressureReport(
+        intersection=intersection,
+        current_phase=state.signals[intersection].active,
+        movement_pressures=mp,
+        etm_pressures=ep,
+        phase_pressures=tuple(
+            phase_pressure(mp[p.movements[0]], mp[p.movements[1]])
+            for p in inter.phases
+        ),
+        phase_efficient_pressures=tuple(
+            ep[p.movements[0]] + ep[p.movements[1]] for p in inter.phases
+        ),
+        intersection_pressure=intersection_pressure(state, net, intersection),
+    )
+
+
+def mp_decide(report: PressureReport, phases: Sequence[Phase]) -> int:
+    """Phase with maximum phase pressure."""
+    values = [report.phase_pressures[p.id] for p in phases]
+    return phases[_argmax_lowest(values)].id
+
+
+def efficient_mp_decide(report: PressureReport, phases: Sequence[Phase]) -> int:
+    """Phase with maximum phase efficient pressure."""
+    values = [report.phase_efficient_pressures[p.id] for p in phases]
+    return phases[_argmax_lowest(values)].id
+
+
+# -- the engine with full scans ----------------------------------------------
 
 
 class ScanSimulation(Simulation):

