@@ -189,9 +189,9 @@ def generate_synthetic_demand(
     """Deterministic boundary-to-boundary flows for a grid.
 
     Each boundary entry road contributes three routes: straight across, left
-    at the first junction then straight, and right at the first junction
-    then straight. Headways are rounded to whole seconds so releases align
-    with the one-second tick (the realized rate is ``1/round(1/rate)``). The
+    at the first junction then straight, and right at the first junction then
+    straight. Headways are whole seconds (the realized rate is
+    ``1/round(1/rate)``), so releases land on the one-second tick grid. The
     seed staggers each flow's first release within one headway so distinct
     seeds give distinct (but statistically identical) traffic.
     """
@@ -308,6 +308,8 @@ class ExperimentPlan:
     def __post_init__(self) -> None:
         if not self.scenarios or not self.controllers or not self.seeds:
             raise ConfigurationError("experiment plan must not be empty")
+        if self.jobs < 1:
+            raise ConfigurationError("jobs must be at least 1")
         if self.sweep is not None:
             if self.sweep.param not in ("t_duration", "state", "phases"):
                 raise ConfigurationError(f"unknown sweep parameter {self.sweep.param!r}")

@@ -73,7 +73,7 @@ def _add(
     if env is not None:
         try:
             default = [type(v) for v in env.split()] if nargs else type(env)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
             raise ConfigurationError(f"bad value for {flag} in environment: {exc}")
         if choices is not None and default not in choices:
             raise ConfigurationError(
@@ -86,8 +86,11 @@ def _add(
     )
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in text.split(",") if v != "")
+def _seeds(text: str) -> tuple[int, ...]:
+    seeds = tuple(int(v) for v in text.split(",") if v != "")
+    if any(seed < 0 for seed in seeds):
+        raise argparse.ArgumentTypeError("seeds must be non-negative")
+    return seeds
 
 
 def _str_list(text: str) -> tuple[str, ...]:
@@ -247,7 +250,7 @@ def _scenario_flags(p: argparse.ArgumentParser) -> None:
     _add(p, "--reward", default="pressure", choices=REWARD_CHOICES)
     _add(p, "--episodes", type=int, default=200, help="training episodes (rl)")
     _add(p, "--eval-episodes", type=int, default=10)
-    _add(p, "--seeds", type=_int_list, default=(0, 1, 2))
+    _add(p, "--seeds", type=_seeds, default=(0, 1, 2))
     _add(p, "--out", help="output directory for CSV artifacts")
     _add(p, "--jobs", type=int, default=1, help="parallel cells")
 

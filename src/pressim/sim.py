@@ -27,10 +27,14 @@ over these tables instead of the network's lookup dicts:
 - per intersection, the movements each phase serves and those a
   transition serves (the right turns), in movement order, because that
   order decides which movement wins a contested downstream lane;
-- a release schedule: for each tick index, the flows that release a
-  vehicle on that tick, in flow order, because vehicle ids follow it. It
-  is built in blocks as the clock runs, from the same accumulated clock
-  that ``step`` advances.
+- per road, its hop: the fewest whole ticks whose total length reaches its
+  travel time less 1e-9 s.
+
+Time is counted in whole ticks. The clock after tick n is ``n * tick``; a
+green's age and a transition's time left are tick counts; a vehicle that
+enters a road on tick n reaches its stop line on tick n + hop; and each
+requested release goes out on the first tick at or after its time, in flow
+order within a tick, because vehicle ids follow it (``FlowSpec``).
 
 The tick loop visits only what can change on the tick:
 
@@ -45,20 +49,19 @@ The tick loop visits only what can change on the tick:
   then waits on the wait list of each movement entering such a lane, and
   a pop by that movement wakes it. A movement sharing a lane stays awake,
   since a co-movement's pop changes its heads partway through the pass;
-- a calendar maps a tick index to the roads whose head vehicle may reach
-  the stop line on that tick. A road enters it when its transit deque
-  turns non-empty, at its entry tick plus the road's whole-tick travel
-  count, and after a visit that leaves a head not yet due. A wake may come
-  a tick early, never late (``wake_offset``), and each visit re-checks the
-  same ``arrival <= clock + 1e-9`` test a scan of every road would make. A
-  road whose due head finds every candidate lane full is held, waiting on
-  the movements entering those lanes, and woken for the tick after one
-  pops;
+- a calendar maps a tick index to the roads whose head vehicle reaches
+  the stop line on that tick: the head's entry tick plus the road's hop. A
+  road enters it when its transit deque turns non-empty, and after a visit
+  that leaves a head not yet due. A road whose due head finds every
+  candidate lane full is held, waiting on the movements entering those
+  lanes, and woken for the tick after one pops;
+- a release calendar maps a tick index to the flows releasing on it, each
+  with the index of its release; a flow books its next after releasing;
 - a decision calendar maps a tick index to the intersections ``_poll``
-  checks on it. A check leaving a signal green books the next on the first
-  tick whose green, accumulated tick by tick, passes the ``t_duration`` test,
-  and a transition books one on the tick it ends. It holds for one
-  ``controllers`` object: a new one has every intersection checked.
+  checks on it. A check leaving a signal green books the next on the tick
+  its green reaches ``t_duration``, and a transition books one on the tick
+  it ends. It holds for one ``controllers`` object: a new one has every
+  intersection checked.
 
 Besides two integer counters (the tick index and the next vehicle id), the
 dynamic state lives in ``state`` and in the movement credits (``_credit``)
@@ -75,7 +78,6 @@ views would not see it.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import math
 from collections import defaultdict, deque
@@ -84,8 +86,6 @@ from enum import Enum
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Deque, Mapping, Optional, Sequence
 
-import numpy as np
-
 # ConfigurationError is defined with the network and re-exported from here
 from pressim.network import ConfigurationError, RoadNetwork, load_json, parser
 
@@ -93,10 +93,6 @@ if TYPE_CHECKING:  # control imports this module
     from pressim.control import Controller
 
 _EPS = 1e-9
-_RELEASE_BLOCK = 4096  # most ticks of release schedule built at once
-# ticks a wake is moved ahead by, to cover the rounding of an accumulated clock
-_WAKE_MARGIN = 1e-6
-_CHECK_HORIZON = 4096  # most ticks a decision check is scheduled ahead
 
 
 @dataclass(frozen=True)
@@ -127,8 +123,10 @@ class SimConfig:
 class FlowSpec:
     """Vehicles released along ``route`` every ``headway_s`` seconds.
 
-    Release times are the simulation ticks t with start_s <= t <= end_s and
-    (t - start_s) divisible by headway_s. The route must run boundary to
+    The requested release times are start_s + k * headway_s for k = 0, 1,
+    ... up to end_s. Each goes out on the first tick at or after it (tick 1
+    for a time at or before 0 s), so a tick carries several when the headway
+    is shorter than the tick, in order of k. The route must run boundary to
     boundary.
     """
 
@@ -170,14 +168,14 @@ _YELLOW, _ALL_RED = TransitionStage
 @dataclass
 class Transition:
     stage: TransitionStage
-    remaining: float
+    remaining: int  # ticks left in the stage
     next_phase: int
 
 
 @dataclass
 class SignalState:
     active: int = 0
-    elapsed: float = 0.0
+    elapsed: int = 0  # ticks of green
     transition: Optional[Transition] = None
 
 
@@ -210,86 +208,17 @@ def pick_lane(candidates: Sequence[str], load: Callable[[str], int]) -> str:
     return min(candidates, key=load)
 
 
-def release_schedule(
-    flows: Sequence[FlowSpec], tick: float, clock: float, ticks: int
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Flows releasing a vehicle on each of the next ``ticks`` ticks.
-
-    The clock is accumulated tick by tick from ``clock``, exactly as
-    ``Simulation.step`` accumulates it, and a flow releases on a tick when
-    that clock lies in [start_s, end_s] and start_s plus a whole number of
-    headways, each within 1e-9 s.
-
-    Returns the indices of the flows due, grouped by tick and ascending
-    within a tick; the offsets that bound the group of the ``i + 1``-th
-    tick as ``due[offsets[i]:offsets[i + 1]]``; and the clock after the
-    last tick.
-    """
-    clocks = np.fromiter(
-        itertools.accumulate(itertools.repeat(tick, ticks), initial=clock),
-        dtype=np.float64,
-        count=ticks + 1,
-    )[1:]
-    hits = []
-    for flow in flows:
-        lo = np.searchsorted(clocks, flow.start_s - _EPS, side="left")
-        hi = np.searchsorted(clocks, flow.end_s + _EPS, side="right")
-        # numpy's float remainder takes the divisor's sign, like Python's %
-        rem = np.remainder(clocks[lo:hi] - flow.start_s, flow.headway_s)
-        hits.append(lo + np.flatnonzero((rem <= _EPS) | (flow.headway_s - rem <= _EPS)))
-    tick_of = np.concatenate(hits) if hits else np.zeros(0, dtype=np.intp)
-    flow_of = np.repeat(np.arange(len(flows), dtype=np.int32), [len(h) for h in hits])
-    due = flow_of[np.argsort(tick_of, kind="stable")]  # stable: flow order within a tick
-    offsets = np.zeros(ticks + 1, dtype=np.intp)
-    np.cumsum(np.bincount(tick_of, minlength=ticks), out=offsets[1:])
-    return due, offsets, float(clocks[-1])
-
-
-class _ReleaseSchedule:
-    """``release_schedule`` over an open-ended run, in blocks of ticks.
-
-    Only the two blocks built last are kept; an older one is rebuilt from
-    the clock it starts at. Forked simulations may share one
-    schedule, since its content depends only on the flows and the tick.
-    """
-
-    def __init__(self, flows: Sequence[FlowSpec], tick: float, block: int):
-        self.flows = flows
-        self.tick = tick
-        self.block = block
-        self.starts = [0.0]  # the clock before each block's first tick
-        self.recent: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-    def at(self, n: int) -> list[int]:
-        """Indices of the flows releasing on tick ``n`` (the first tick is 1).
-
-        Ticks are asked for in order by each simulation, so block ``b`` is
-        first asked for after block ``b - 1`` recorded where it ends.
-        """
-        b, i = divmod(n - 1, self.block)
-        if b not in self.recent:
-            due, offsets, end = release_schedule(
-                self.flows, self.tick, self.starts[b], self.block
-            )
-            if b + 1 == len(self.starts):
-                self.starts.append(end)
-            if len(self.recent) == 2:
-                del self.recent[next(iter(self.recent))]
-            self.recent[b] = (due, offsets)
-        due, offsets = self.recent[b]
-        return due[offsets[i] : offsets[i + 1]].tolist()
-
-
-def wake_offset(delay: float, tick: float) -> int:
-    """Ticks from now to a road's wake for a head arriving ``delay`` seconds
-    after the current clock.
-
-    The wake is never later than the first tick whose clock, accumulated
-    tick by tick as ``step`` accumulates it, plus 1e-9 s reaches the
-    arrival. ``_WAKE_MARGIN`` absorbs the rounding of that accumulation, so
-    the wake may come one tick early, and a visit re-checks the arrival.
-    """
-    return math.ceil((delay - _EPS) / tick - _WAKE_MARGIN)
+def _ticks_to(seconds: float, tick: float) -> int:
+    """The fewest whole ticks whose total length reaches ``seconds`` less
+    1e-9 s; 0 for a time at or before 0 s."""
+    limit = seconds - _EPS
+    n = math.ceil(limit / tick)
+    # the rounded quotient may land one off the exact test: settle on it
+    if (n - 1) * tick >= limit:
+        n -= 1
+    elif n * tick < limit:
+        n += 1
+    return n if n > 0 else 0  # a call to max() would cost more than the rest
 
 
 def _bit_positions(bits: int) -> tuple[int, ...]:
@@ -312,7 +241,7 @@ class _Move:
     capacity: int  # of each receiving lane
     transit: Deque[tuple[float, int]]
     road: int  # the receiving road's index
-    hop: int  # whole ticks from entering the receiving road to its wake
+    hop: int  # ticks from entering the receiving road to its calendar visit
     solo: bool  # no other movement enters its lanes
     # what a pop from its lanes wakes: (intersection position, bit) of a
     # sleeping movement, or the index of a held road
@@ -345,10 +274,12 @@ class Simulation:
         # roads are numbered in network order: the calendar holds these indices
         self._road_ids = [r.id for r in net.roads]
         road_of = {rid: i for i, rid in enumerate(self._road_ids)}
-        # per road: (drains to a boundary, queue capacity of each stop-line lane)
-        self._stop_line = [(net.terminal(r.id), capacity[r.id]) for r in net.roads]
-        # per road: whole ticks from a vehicle entering it to the road's wake
-        hop = [wake_offset(r.travel_time, config.tick) for r in net.roads]
+        tick = config.tick
+        # per road: whole ticks from a vehicle entering it to its stop line
+        hop = [_ticks_to(r.travel_time, tick) for r in net.roads]
+        # per road: (drains to a boundary, stop-line lane capacity, travel time, hop)
+        self._stop_line = [(net.terminal(r.id), capacity[r.id], r.travel_time, h)
+                           for r, h in zip(net.roads, hop)]
         self._intersection_ids = [i.id for i in net.intersections]
         self._n_phases = {i.id: len(i.phases) for i in net.intersections}
         # per intersection: the mask of movements each phase serves, the mask
@@ -375,26 +306,16 @@ class Simulation:
             self._served.append((inter.id, by_phase, in_transition, tuple(statics)))
         self._joins = {lane: tuple(masks.items()) for lane, masks in joins.items()}
         self._positions: dict[int, tuple[int, ...]] = {}  # bitmask -> _bit_positions(bitmask)
-        self._waits: dict[float, int] = {}  # t_duration -> _wait(0.0, t_duration)
 
         plans = {f.route: self._hop_plan(f.route) for f in self.flows}
-        # per flow: (entry road, hop plan, entry lane capacity, entry travel
-        # time, whole ticks from release to the entry road's wake)
-        self._entries = [
-            (
-                road_of[f.route[0]],
-                plans[f.route],
-                capacity[f.route[0]],
-                net.road_index[f.route[0]].travel_time,
-                max(0, hop[road_of[f.route[0]]]),
-            )
-            for f in self.flows
-        ]
-        episode_ticks = math.ceil(config.episode_length / config.tick)
-        self._releases = _ReleaseSchedule(
-            self.flows, config.tick, max(1, min(episode_ticks, _RELEASE_BLOCK))
-        )
-        self._gain = config.tick / config.saturation_headway
+        # per flow: (entry road, hop plan, the flow)
+        self._entries = [(road_of[f.route[0]], plans[f.route], f) for f in self.flows]
+        self._episode_ticks = _ticks_to(config.episode_length, tick)
+        # a transition's ticks of yellow, then of all-red: the all-red ends
+        # on the first tick at or after yellow + all_red from its start
+        self._yellow = _ticks_to(config.yellow, tick)
+        self._all_red = _ticks_to(config.yellow + config.all_red, tick) - self._yellow
+        self._gain = tick / config.saturation_headway
 
         self.state = SimState(
             queues={l: deque() for l in net.lane_index},
@@ -411,7 +332,7 @@ class Simulation:
     def _bind(self) -> None:
         """Rebuild the views of ``state`` and ``_credit`` the tick loop reads:
         the roads' transit deques, per intersection its signal state and its
-        movements bound to their queues, the live masks, the calendar, and
+        movements bound to their queues, the live masks, the calendars, and
         no held road and empty wait lists."""
         st = self.state
         queues, credit, joins = st.queues, self._credit, self._joins
@@ -442,12 +363,21 @@ class Simulation:
         self._check_at = [0] * len(self._signals)
         self._mapping: Optional[Mapping[str, Controller]] = None  # check all at the next poll
         # tick -> the roads its transit pass visits; the next pass is tick
-        # n + 1's, and heads already due wake then
+        # n + 1's, and books each road visited again on its head's due tick
         self._calendar: defaultdict[int, list[int]] = defaultdict(list)
-        n, clock, tick = self._ticks, st.clock, self.config.tick
-        for r, dq in enumerate(self._transit):
-            if dq:
-                self._calendar[n + max(1, wake_offset(dq[0][0] - clock, tick))].append(r)
+        n = self._ticks
+        self._calendar[n + 1] = [r for r, dq in enumerate(self._transit) if dq]
+        # tick -> (flow, index k) of the next release of each flow due on it
+        self._releases: defaultdict[int, list[tuple[int, int]]] = defaultdict(list)
+        tick = self.config.tick
+        for fi, f in enumerate(self.flows):
+            # from an index no later than the first release after tick n: one
+            # due by then lies a headway or more before its clock
+            k = max(0, math.floor((n * tick - f.start_s) / f.headway_s) - 1) if n else 0
+            while (at := self._release_tick(f, k)) is not None and at <= n:
+                k += 1
+            if at is not None:
+                self._releases[at].append((fi, k))
         self._bound = st
 
     def _hop_plan(self, route: tuple[str, ...]) -> tuple[Optional[tuple[str, ...]], ...]:
@@ -467,10 +397,10 @@ class Simulation:
         st = self.state
         if st is not self._bound:
             self._bind()
-        st.clock += self.config.tick
         self._ticks += 1
+        st.clock = self._ticks * self.config.tick
         self._advance_signals()
-        self._spawn(st.clock)
+        self._spawn()
         self._advance_transit()
         self._poll(controllers)
         self._discharge()
@@ -478,32 +408,32 @@ class Simulation:
             st.max_total_queue = st.total_queued
 
     def run(self, controllers: Mapping[str, Controller]) -> None:
-        while self.state.clock < self.config.episode_length - _EPS:
+        while self._ticks < self._episode_ticks:
             self.step(controllers)
 
     # -- signal timing ------------------------------------------------------
 
     def _advance_signals(self) -> None:
-        tick, n = self.config.tick, self._ticks
+        n = self._ticks
         for i, sig in enumerate(self._signals):
             if sig.transition is None:
-                sig.elapsed += tick
+                sig.elapsed += 1
             else:
-                sig.transition.remaining -= tick
+                sig.transition.remaining -= 1
                 self._normalize_transition(sig)
                 if sig.transition is None:  # green again: check it on this tick
                     self._check_at[i] = n
                     self._checks[n].append(i)
 
     def _normalize_transition(self, sig: SignalState) -> None:
-        while sig.transition is not None and sig.transition.remaining <= _EPS:
+        while sig.transition is not None and sig.transition.remaining <= 0:
             tr = sig.transition
             if tr.stage is _YELLOW:
                 tr.stage = _ALL_RED
-                tr.remaining += self.config.all_red
+                tr.remaining = self._all_red
             else:
                 sig.active = tr.next_phase
-                sig.elapsed = 0.0
+                sig.elapsed = 0
                 sig.transition = None
 
     def set_phase(self, intersection: str, phase: int) -> None:
@@ -517,32 +447,49 @@ class Simulation:
         if sig.transition is not None:
             return
         if phase == sig.active:
-            sig.elapsed = 0.0
+            sig.elapsed = 0
             return
-        sig.transition = Transition(_YELLOW, self.config.yellow, phase)
+        sig.transition = Transition(_YELLOW, self._yellow, phase)
         self._normalize_transition(sig)
 
     # -- demand -------------------------------------------------------------
 
-    def _spawn(self, now: float) -> None:
-        st = self.state
-        counters, queues, transit = st.counters, st.queues, self._transit
+    def _spawn(self) -> None:
         n = self._ticks
-        for fi in self._releases.at(n):
-            road, plan, capacity, travel_time, hop = self._entries[fi]
-            counters.spawned += 1
-            lanes = plan[0]
-            lane = lanes[0] if len(lanes) == 1 else self._pick_lane(lanes)
-            if len(queues[lane]) >= capacity:
-                counters.blocked += 1
-                continue
-            vid = self._next_vehicle_id
-            self._next_vehicle_id += 1
-            st.vehicles[vid] = Vehicle(vid, self.flows[fi].route, 0, now, None, _IN_TRANSIT, plan)
-            dq = transit[road]
-            if not dq:  # this tick's transit pass runs after the releases
-                self._calendar[n + hop].append(road)
-            dq.append((now + travel_time, vid))
+        due = self._releases.pop(n, None)
+        if due is None:
+            return
+        st = self.state
+        now, counters, queues, transit = st.clock, st.counters, st.queues, self._transit
+        due.sort()  # flow order
+        for fi, k in due:
+            road, plan, flow = self._entries[fi]
+            _, capacity, travel_time, hop = self._stop_line[road]
+            at = n
+            while at == n:  # each release of the flow due on this tick, in order of k
+                counters.spawned += 1
+                lanes = plan[0]
+                lane = lanes[0] if len(lanes) == 1 else self._pick_lane(lanes)
+                if len(queues[lane]) >= capacity:
+                    counters.blocked += 1
+                else:
+                    vid = self._next_vehicle_id
+                    self._next_vehicle_id += 1
+                    st.vehicles[vid] = Vehicle(vid, flow.route, 0, now, None, _IN_TRANSIT, plan)
+                    dq = transit[road]
+                    if not dq:  # this tick's transit pass runs after the releases
+                        self._calendar[n + hop].append(road)
+                    dq.append((now + travel_time, vid))
+                k += 1
+                at = self._release_tick(flow, k)
+            if at is not None:
+                self._releases[at].append((fi, k))
+
+    def _release_tick(self, f: FlowSpec, k: int) -> Optional[int]:
+        """The tick of ``f``'s ``k``-th release, the first at or after its
+        time (tick 1 for a time at or before 0 s); None past the flow's end."""
+        t = f.start_s + k * f.headway_s
+        return (_ticks_to(t, self.config.tick) or 1) if t <= f.end_s + _EPS else None
 
     def _pick_lane(self, candidates: tuple[str, ...]) -> str:
         queues = self.state.queues
@@ -557,7 +504,6 @@ class Simulation:
             return
         st = self.state
         clock = st.clock
-        due = clock + _EPS
         queues, vehicles = st.queues, st.vehicles
         transit, stop_line, tick = self._transit, self._stop_line, self.config.tick
         calendar, joins, live = self._calendar, self._joins, self._live
@@ -565,7 +511,10 @@ class Simulation:
         # roads do not interact here: a road's vehicles join only its own lanes
         for r in roads:
             dq = transit[r]
-            terminal, capacity = stop_line[r]
+            terminal, capacity, travel_time, hop = stop_line[r]
+            # a head is due if it entered hop or more ticks ago: at or before
+            # the arrival time of one entered just hop ticks ago, computed alike
+            due = (n - hop) * tick + travel_time
             while dq and dq[0][0] <= due:
                 v = vehicles[dq[0][1]]
                 if terminal:
@@ -581,7 +530,7 @@ class Simulation:
                     # every candidate lane full: the road holds this and all
                     # behind it until one of them discharges
                     self._held[r] = True
-                    self._wait_on(lanes, r)
+                    self._put_on_wait_lists(lanes, r)
                     break
                 dq.popleft()
                 if not q:  # a new head: the lane's movements may move it
@@ -591,9 +540,9 @@ class Simulation:
                 joined += 1
                 v.status = _QUEUED
             else:
-                if dq:  # woken early, or the next head is not yet due
-                    wake = n + wake_offset(dq[0][0] - clock, tick)
-                    calendar[wake if wake > n else n + 1].append(r)
+                if dq:  # the next head is not yet due: book the tick it is,
+                    # a hop after the tick whose clock it entered the road at
+                    calendar[round((dq[0][0] - travel_time) / tick) + hop].append(r)
         st.total_queued += joined
         st.counters.finished += finished
 
@@ -609,6 +558,7 @@ class Simulation:
         elif due:  # an entry is stale once a later event booked another check
             due = sorted({i for i in due if check_at[i] == n})
         st, net, signals, ids = self.state, self.net, self._signals, self._intersection_ids
+        tick = self.config.tick
         for i in due:
             iid = ids[i]
             ctrl = controllers.get(iid)
@@ -616,30 +566,18 @@ class Simulation:
             if ctrl is None or sig.transition is not None:
                 continue  # a transition schedules a check when it ends
             t_duration = ctrl.t_duration
-            if not sig.elapsed + _EPS < t_duration:
+            if t_duration == math.inf:
+                continue  # never due
+            green = _ticks_to(t_duration, tick)  # ticks of green due a decision
+            if sig.elapsed >= green:
                 action = ctrl.decide(ctrl.observe(st, net, iid), iid)
                 st.counters.decisions += 1
                 self.set_phase(iid, action)
                 if sig.transition is not None:
                     continue
-            check_at[i] = at = n + self._wait(sig.elapsed, t_duration)
+            wait = green - sig.elapsed
+            check_at[i] = at = n + (wait if wait > 1 else 1)
             checks[at].append(i)
-
-    def _wait(self, elapsed: float, t_duration: float) -> int:
-        """Ticks, 1 to ``_CHECK_HORIZON``, to the first check that finds a green
-        now ``elapsed`` seconds long due, adding the tick as ``_advance_signals``
-        does, so the ``_EPS`` test picks the tick a check on every tick picks."""
-        zero = elapsed == 0.0
-        if zero and t_duration in self._waits:
-            return self._waits[t_duration]
-        tick, wait = self.config.tick, 1
-        elapsed += tick
-        while elapsed + _EPS < t_duration and wait < _CHECK_HORIZON:
-            elapsed += tick
-            wait += 1
-        if zero:
-            self._waits[t_duration] = wait
-        return wait
 
     # -- discharge ----------------------------------------------------------
 
@@ -697,7 +635,7 @@ class Simulation:
                                     v = vehicles[q[0]]
                                     pos = v.route_pos + 1
                                     if v.route[pos] == mv.receiving_road:
-                                        self._wait_on(v.plan[pos], (ii, mv.bit))
+                                        self._put_on_wait_lists(v.plan[pos], (ii, mv.bit))
                             live[ii] ^= mv.bit
                         break
                     q.popleft()
@@ -719,7 +657,7 @@ class Simulation:
                     c -= 1.0
                 credit[mv.id] = c if c < 1.0 else 1.0
 
-    def _wait_on(self, lanes: tuple[str, ...], entry) -> None:
+    def _put_on_wait_lists(self, lanes: tuple[str, ...], entry) -> None:
         """Put ``entry`` on the wait list of each movement entering ``lanes``."""
         for lane in lanes:
             for w in self._waiting[lane]:
@@ -739,7 +677,7 @@ class Simulation:
 
     def state_digest(self) -> str:
         """Hash of the full dynamic state; equal digests mean equal runs."""
-        st = self.state
+        st, tick = self.state, self.config.tick
         doc = {
             "clock": round(st.clock, 9),
             "queues": {l: list(q) for l, q in sorted(st.queues.items())},
@@ -750,9 +688,9 @@ class Simulation:
             "signals": {
                 i: [
                     s.active,
-                    round(s.elapsed, 9),
+                    round(s.elapsed * tick, 9),
                     s.transition.stage.value if s.transition else None,
-                    round(s.transition.remaining, 9) if s.transition else None,
+                    round(s.transition.remaining * tick, 9) if s.transition else None,
                     s.transition.next_phase if s.transition else None,
                 ]
                 for i, s in sorted(st.signals.items())

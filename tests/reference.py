@@ -21,7 +21,6 @@ from pressim.sim import (
     SimState,
     Simulation,
     VehicleStatus,
-    wake_offset,
 )
 
 
@@ -140,18 +139,20 @@ def efficient_mp_decide(report: PressureReport, phases: Sequence[Phase]) -> int:
 
 class ScanSimulation(Simulation):
     """The engine with the per-tick scan that the decision calendar
-    replaced: every tick, every intersection with a controller is checked."""
+    replaced: every tick, every intersection with a controller is checked,
+    and a green is due once its ticks, in seconds, reach ``t_duration`` less
+    1e-9 s."""
 
     def _poll(self, controllers) -> None:
         self._checks.clear()  # the calendar is unused here
-        st = self.state
+        st, tick = self.state, self.config.tick
         signals, net = st.signals, self.net
         for iid in self._intersection_ids:
             ctrl = controllers.get(iid)
             if ctrl is None:
                 continue
             sig = signals[iid]
-            if sig.transition is not None or sig.elapsed + _EPS < ctrl.t_duration:
+            if sig.transition is not None or sig.elapsed * tick < ctrl.t_duration - _EPS:
                 continue
             obs = ctrl.observe(st, net, iid)
             action = ctrl.decide(obs, iid)
@@ -163,7 +164,9 @@ class AwakeSimulation(Simulation):
     """The engine without wait lists: every served live movement is visited
     on every tick, a movement sleeps only once its entering lanes are empty
     and its credit full, every join wakes the joined lane's movements, and
-    a held road wakes on any pop from one of its stop-line lanes."""
+    a held road wakes on any pop from one of its stop-line lanes. A head is
+    due once the ticks since it entered the road, in seconds, reach the
+    travel time less 1e-9 s."""
 
     def __init__(self, net, flows, config):
         super().__init__(net, flows, config)
@@ -176,12 +179,20 @@ class AwakeSimulation(Simulation):
         }
 
     def _advance_transit(self) -> None:
-        roads = self._calendar.pop(self._ticks, ())
-        st = self.state
-        for r in roads:
+        st, n, tick = self.state, self._ticks, self.config.tick
+        for r in self._calendar.pop(n, ()):
             dq = self._transit[r]
-            terminal, capacity = self._stop_line[r]
-            while dq and dq[0][0] <= st.clock + _EPS:
+            terminal, capacity, travel_time, _ = self._stop_line[r]
+            while dq:
+                # the head entered on the tick whose clock plus the travel
+                # time is its arrival
+                entered = round((dq[0][0] - travel_time) / tick)
+                if (n - entered) * tick < travel_time - _EPS:  # not yet due
+                    due = max(n + 1, entered + int(travel_time / tick) - 1)
+                    while (due - entered) * tick < travel_time - _EPS:
+                        due += 1
+                    self._calendar[due].append(r)
+                    break
                 v = st.vehicles[dq[0][1]]
                 if terminal:
                     dq.popleft()
@@ -200,10 +211,6 @@ class AwakeSimulation(Simulation):
                 v.status = VehicleStatus.QUEUED
                 for ii, bits in self._joins[lane]:
                     self._live[ii] |= bits
-            else:
-                if dq:
-                    wake = self._ticks + wake_offset(dq[0][0] - st.clock, self.config.tick)
-                    self._calendar[max(wake, self._ticks + 1)].append(r)
 
     def _discharge(self) -> None:
         st = self.state

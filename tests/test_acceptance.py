@@ -417,8 +417,8 @@ def test_11_cell_determinism(tmp_path):
 def test_fork_leaves_the_original_unaffected():
     """A fork stepped on its own must not move the run it was forked from:
     the engine keeps no dynamic state outside ``state`` and ``_credit``. The
-    two share a release schedule, and the fork runs two blocks of it ahead,
-    so the original rebuilds a block the fork pushed out."""
+    fork rebuilds its release calendar from the tick index and runs 200
+    ticks ahead, past the episode's end, without touching the original's."""
     net = build_grid(2, 2, 300.0, 300.0)
     flows = generate_synthetic_demand(net, Asymmetric(0.2, 0.1), 3, 600.0)
     config = SimConfig(episode_length=147.0, lane_capacity=8)

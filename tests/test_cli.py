@@ -474,3 +474,50 @@ def test_non_finite_flow_field_exits_2(grid_file, flows_file, capsys, field, val
     err = capsys.readouterr().err
     assert err.startswith("configuration error") and "flow[0]" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "start, headway, requested",
+    [(1.5, 2.0, 300), (1.0, 2.5, 240), (1.0, 0.4, 1498), (0.0, 2.0, 301)],
+)
+def test_off_grid_flow_releases_every_requested_vehicle(grid_file, tmp_path, start, headway,
+                                                         requested):
+    """On the default one-second tick, a flow whose start or headway is off
+    the tick grid releases each requested vehicle on the first tick at or
+    after its time (several on one tick when the headway is shorter than
+    the tick, and the one at 0 s on tick 1); ``spawned`` counts blocked
+    releases too."""
+    flows = tmp_path / "off_grid.json"
+    save_flows([FlowSpec(("boundary:W0__n0_0", "n0_0__boundary:E0"), start, 600.0, headway)],
+               flows)
+    out_dir = tmp_path / "out"
+    code = main(["run", "--network", str(grid_file), "--flows", str(flows),
+                 "--controller", "fixedtime", "--episode-length", "600", "--seeds", "0",
+                 "--out", str(out_dir)])
+    assert code == 0
+    with open(out_dir / "detail.csv", newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert int(row["spawned"]) == requested
+
+
+@pytest.mark.parametrize("seeds", ["-1", "0,-3"])
+def test_negative_seed_exits_2(grid_file, monkeypatch, capsys, seeds):
+    args = ["run", "--network", str(grid_file), "--demand", "uniform:0.1",
+            "--episode-length", "60"]
+    with pytest.raises(SystemExit) as exc:
+        main([*args, "--seeds", seeds])
+    assert exc.value.code == 2
+    assert "seeds must be non-negative" in capsys.readouterr().err
+    monkeypatch.setenv("PRESSIM_SEEDS", seeds)
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and "seeds must be non-negative" in err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_exits_2(grid_file, capsys, jobs):
+    code = main(["run", "--network", str(grid_file), "--demand", "uniform:0.1",
+                 "--episode-length", "60", "--seeds", "0", "--jobs", jobs])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and "jobs must be at least 1" in err

@@ -1,9 +1,9 @@
 """The engine's precomputed paths against the readable reference.
 
 ``phase_scores``, ``extract_state`` and ``reward`` must return exactly
-(``==``, not approximately) what the reference functions compute, and
-``release_schedule`` must pick exactly the ticks the per-tick release
-predicate picks on the accumulated clock.
+(``==``, not approximately) what the reference functions compute, and the
+engine's release calendar must release exactly on the ticks a walk over
+the ticks finds for each requested release time.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from pressim.sim import (
     SimConfig,
     SimState,
     Simulation,
-    release_schedule,
 )
+from test_acceptance import _fork
 from reference import (
     etm_efficient_pressure,
     intersection_pressure,
@@ -142,21 +142,20 @@ def test_phase_scores_rejects_unknown_intersection():
 
 
 def _reference_releases(flows, tick, ticks):
-    """The per-tick predicate the schedule replaces, on the same clock."""
-    eps = 1e-9
-    due, now = [], 0.0
-    for _ in range(ticks):
-        now += tick
-        on_tick = []
-        for fi, flow in enumerate(flows):
-            if now < flow.start_s - eps or now > flow.end_s + eps:
-                continue
-            rem = (now - flow.start_s) % flow.headway_s
-            if rem > eps and flow.headway_s - rem > eps:
-                continue
-            on_tick.append(fi)
-        due.append(tuple(on_tick))
-    return due
+    """Per tick, the flows releasing on it: each requested time
+    start_s + k * headway_s up to end_s goes out on the first tick at or
+    after it (tick 1 for a time at or before 0 s), found by walking the
+    ticks; flow order, then order of k, within a tick."""
+    due = [[] for _ in range(ticks)]
+    for fi, flow in enumerate(flows):
+        k, n = 0, 1
+        while flow.start_s + k * flow.headway_s <= flow.end_s + 1e-9:
+            while n * tick < flow.start_s + k * flow.headway_s - 1e-9:
+                n += 1
+            if n <= ticks:
+                due[n - 1].append(fi)
+            k += 1
+    return [tuple(d) for d in due]
 
 
 _times = st.one_of(
@@ -168,34 +167,51 @@ _headways = st.one_of(
     st.integers(10, 700).map(lambda c: c / 100),
     st.floats(0.05, 9.0, allow_nan=False, allow_infinity=False),
 )
+_ONE_BY_ONE = build_grid(1, 1, 400.0, 400.0)
+# the twelve routes across a 1x1 grid, one per flow, so a vehicle names its flow
+_ROUTES = [
+    (entry, exit_)
+    for entry in sorted(r.id for r in _ONE_BY_ONE.entry_roads())
+    for (a, exit_) in sorted(_ONE_BY_ONE.turn_between)
+    if a == entry
+]
 _flows = st.lists(
-    st.builds(
-        lambda start, span, headway: FlowSpec(("a", "b"), start, start + span, headway),
-        _times,
-        _times,
-        _headways,
-    ),
-    min_size=1,
-    max_size=8,
+    st.tuples(_times, _times, _headways), min_size=1, max_size=8
+).map(
+    lambda specs: [
+        FlowSpec(route, start, start + span, headway)
+        for route, (start, span, headway) in zip(_ROUTES, specs)
+    ]
 )
 
 
-def _per_tick(due, offsets):
-    return [tuple(due[a:b].tolist()) for a, b in zip(offsets, offsets[1:])]
+def _released(sim, ticks):
+    """Step ``sim`` ``ticks`` times; per tick, the flows of the vehicles
+    released on it, in vehicle id order."""
+    flow_of = {f.route: fi for fi, f in enumerate(sim.flows)}
+    out = []
+    for _ in range(ticks):
+        first, spawned = sim._next_vehicle_id, sim.state.counters.spawned
+        sim.step({})
+        vehicles = sim.state.vehicles
+        out.append(tuple(flow_of[vehicles[v].route] for v in range(first, sim._next_vehicle_id)))
+        assert sim.state.counters.spawned - spawned == len(out[-1])  # none blocked
+    return out
 
 
 @settings(max_examples=60, deadline=None)
 @given(flows=_flows, tick=st.sampled_from([1.0, 0.1]), split=st.integers(1, 400))
 def test_release_schedule_matches_per_tick_predicate(flows, tick, split):
+    """The release calendar against the walk over the ticks, also when
+    rebuilt from the tick index of a fork."""
     ticks = round(40.0 / tick)
     reference = _reference_releases(flows, tick, ticks)
-    due, offsets, _ = release_schedule(flows, tick, 0.0, ticks)
-    assert _per_tick(due, offsets) == reference
-    # built in two blocks, continuing from the first block's clock
+    config = SimConfig(tick=tick, episode_length=40.0, lane_capacity=10**6)
+    assert _released(Simulation(_ONE_BY_ONE, flows, config), ticks) == reference
     split = min(split, ticks - 1)
-    *first, clock = release_schedule(flows, tick, 0.0, split)
-    *rest, _ = release_schedule(flows, tick, clock, ticks - split)
-    assert _per_tick(*first) + _per_tick(*rest) == reference
+    sim = Simulation(_ONE_BY_ONE, flows, config)
+    first = _released(sim, split)
+    assert first + _released(_fork(sim), ticks - split) == reference
 
 
 def test_release_schedule_grows_past_the_episode():

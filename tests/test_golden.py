@@ -94,8 +94,9 @@ def test_three_by_four_mp_digest():
 
 
 def test_fractional_tick_digest():
-    """Tenth-of-a-second ticks with off-grid starts and headways: releases
-    ride on the accumulated clock, drift included."""
+    """Tenth-of-a-second ticks with off-grid starts and headways: each
+    release goes out on the first tick at or after its time, the one at 0 s
+    on tick 1."""
     net = build_grid(1, 1, 150.0, 150.0, lanes_per_approach=1)
     flows = [
         FlowSpec(("boundary:W0__n0_0", "n0_0__boundary:E0"), 0.3, 200.0, 2.7),
@@ -107,7 +108,7 @@ def test_fractional_tick_digest():
     sim = Simulation(net, flows, config)
     sim.run(make_controllers(net, "mp", ControllerConfig(t_duration=10.0)))
     assert sim.state_digest() == (
-        "af693b41ab496a82f4818cb85e69fe82e787d7fbc4ecca40041b7d9fa128c26a"
+        "bad25350eb2e800c53b799d348ed4ed3910dc20e0697b06f2fa0bf7653de39bf"
     )
 
 
