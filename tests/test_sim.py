@@ -2,9 +2,9 @@ from __future__ import annotations
 
 import ast
 import inspect
+import itertools
 import random
 from collections import deque
-from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings
@@ -28,7 +28,7 @@ from pressim.sim import (
 )
 from reference import AwakeSimulation, ScanSimulation
 from test_acceptance import _fork
-from test_fastpaths import _loaded_grid
+from test_fastpaths import _loaded_grid, _reference_releases
 
 WE = ("boundary:W0__n0_0", "n0_0__boundary:E0")  # west entry, through
 NS = ("boundary:N0__n0_0", "n0_0__boundary:S0")  # north entry, through
@@ -391,15 +391,6 @@ def test_conservation_property(seed, headway, cap):
 WAKE_TICKS = (0.05, 0.1, 0.3, 1 / 3, 1.0)
 
 
-def first_tick_at_or_after(seconds: float, tick: float, earliest: int = 0) -> int:
-    """The first tick n, from ``earliest`` on, whose clock n * tick reaches
-    ``seconds`` less 1e-9 s, found by walking the ticks."""
-    n = max(earliest, int(seconds / tick) - 2)
-    while n * tick < seconds - 1e-9:
-        n += 1
-    return n
-
-
 @settings(max_examples=3, deadline=None)
 @given(
     tick=st.sampled_from([0.1, 0.7]) | st.floats(0.1, 1.0),
@@ -427,15 +418,10 @@ def test_time_stays_on_the_tick_grid(tick, starts, headways, whole_ticks, length
     ends = (horizon, horizon - 7.0, starts[2] + 300.0)  # the short headway runs briefly
     flows = [FlowSpec(route, start, end, headway)
              for route, start, end, headway in zip((WE, NS, WS), starts, ends, headways)]
-    releases: dict[int, list[int]] = {}  # tick -> flow indices, as requested
-    for fi, f in enumerate(flows):
-        k = 0
-        while (t := f.start_s + k * f.headway_s) <= f.end_s + 1e-9:
-            releases.setdefault(first_tick_at_or_after(t, tick, 1), []).append(fi)
-            k += 1
-    for due in releases.values():
-        due.sort()  # flow order, then order of k
-    hop = {r.id: first_tick_at_or_after(r.travel_time, tick) for r in net.roads}
+    releases = _reference_releases(flows, tick, ticks)
+    # per road: the fewest ticks whose length reaches its travel time less 1e-9 s
+    hop = {r.id: next(m for m in itertools.count(1) if m * tick >= r.travel_time - 1e-9)
+           for r in net.roads}
     flow_of = {f.route: fi for fi, f in enumerate(flows)}
     sim = Simulation(net, flows, SimConfig(tick=tick, episode_length=horizon, lane_capacity=10**6))
     transit = sim.state.transit
@@ -446,16 +432,16 @@ def test_time_stays_on_the_tick_grid(tick, starts, headways, whole_ticks, length
         first_id = sim._next_vehicle_id
         sim.step({"n0_0": ctrl})
         assert sim.state.clock == n * tick
-        released = [flow_of[sim.state.vehicles[vid].route]
-                    for vid in range(first_id, sim._next_vehicle_id)]
-        assert released == releases.get(n, []), n
+        released = tuple(flow_of[sim.state.vehicles[vid].route]
+                         for vid in range(first_id, sim._next_vehicle_id))
+        assert released == releases[n - 1], n
         for road, dq in transit.items():
             mirror = seen[road]
             while mirror and (not dq or mirror[0][0] != dq[0][1]):
                 _, entered = mirror.popleft()  # reached the stop line on tick n
                 assert n - entered == hop[road], (road, n)
                 arrivals += 1
-            for _, vid in islice(dq, len(mirror), None):
+            for _, vid in itertools.islice(dq, len(mirror), None):
                 mirror.append((vid, n))
     assert sim.state.counters.blocked == 0
     assert arrivals > 1000
