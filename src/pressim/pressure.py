@@ -109,21 +109,15 @@ def _lanes(net: RoadNetwork, intersection: str) -> IntersectionLanes:
         raise ConfigurationError(f"unknown intersection {intersection!r}") from None
 
 
-def _lane_set_totals(state: SimState, lanes: IntersectionLanes) -> list:
-    """Queue total of each distinct lane set, in lane-set number order."""
-    queues = state.queues
-    total = [len(queues[l]) for l in lanes.single_lanes]
-    queue = queues.__getitem__
-    total += [sum(map(len, map(queue, g))) for g in lanes.lane_groups]
-    return total
-
-
 def _movement_scores(state: SimState, lanes: IntersectionLanes, efficient: bool) -> list:
     """Queue pressure, or efficient pressure with ``efficient``, per
     signalized movement. Each distinct lane set's queue total is taken once;
     an efficient pressure is ``sum / n`` of integer queues, which equals
     the ``fmean`` that ``efficient_pressure`` takes."""
-    total = _lane_set_totals(state, lanes)
+    queues = state.queues
+    total = [len(queues[l]) for l in lanes.single_lanes]
+    queue = queues.__getitem__
+    total += [sum(map(len, map(queue, g))) for g in lanes.lane_groups]
     if efficient:
         return [total[e] / ne - total[x] / nx for e, x, ne, nx in lanes.ep_reads]
     return [total[e] - total[p] for e, p in lanes.mp_reads]
@@ -135,27 +129,8 @@ def phase_scores(
     """Per-phase pressures, or efficient pressures with ``efficient``:
     movement a plus movement b, phase i at position i."""
     lanes = _lanes(net, intersection)
-    if efficient:
-        return _phase_efficient_scores(state, lanes)
-    score = _movement_scores(state, lanes, False)
+    score = _movement_scores(state, lanes, efficient)
     return tuple(score[a] + score[b] for a, b in lanes.phases)
-
-
-def _phase_efficient_scores(state: SimState, lanes: IntersectionLanes) -> tuple:
-    """Phase efficient pressures, each the float nearest the exact sum of
-    its two movements' mean differences: a movement's is the fraction
-    ``(sum_e * n_x - sum_x * n_e) / (n_e * n_x)``, and one integer division
-    rounds the phase's sum once, so phases with equal efficient pressures
-    score equal and the argmax breaks their tie by phase order."""
-    total = _lane_set_totals(state, lanes)
-    frac = [
-        (total[e] * nx - total[x] * ne, ne * nx) for e, x, ne, nx in lanes.ep_reads
-    ]
-    scores = []
-    for a, b in lanes.phases:
-        (na, da), (nb, db) = frac[a], frac[b]
-        scores.append((na * db + nb * da) / (da * db))
-    return tuple(scores)
 
 
 # -- observation vectors for learning controllers ---------------------------

@@ -10,7 +10,6 @@ full scan in place of a calendar or wait list.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from pressim.control import _argmax_lowest
@@ -81,21 +80,9 @@ def etm_efficient_pressure(state: SimState, net: RoadNetwork, m: TrafficMovement
     return efficient_pressure(entering, exiting)
 
 
-def _exact_etm_efficient_pressure(
-    state: SimState, net: RoadNetwork, m: TrafficMovement
-) -> Fraction:
-    entering = [len(state.queues[l]) for l in m.entering]
-    exiting = [downstream_queue(state, net, l) for l in m.exiting]
-    return Fraction(sum(entering), len(entering)) - Fraction(sum(exiting), len(exiting))
-
-
 def phase_efficient_pressure(state: SimState, net: RoadNetwork, phase: Phase) -> float:
-    """The two movements' efficient pressures summed exactly, then rounded
-    once to a float, so that equal phase efficient pressures compare equal."""
-    return float(sum(
-        _exact_etm_efficient_pressure(state, net, movement_index(net)[mid])
-        for mid in phase.movements
-    ))
+    a, b = (movement_index(net)[mid] for mid in phase.movements)
+    return etm_efficient_pressure(state, net, a) + etm_efficient_pressure(state, net, b)
 
 
 # -- per-intersection report for pressure-driven controllers ----------------
@@ -129,7 +116,7 @@ def pressure_report(state: SimState, net: RoadNetwork, intersection: str) -> Pre
             for p in inter.phases
         ),
         phase_efficient_pressures=tuple(
-            phase_efficient_pressure(state, net, p) for p in inter.phases
+            ep[p.movements[0]] + ep[p.movements[1]] for p in inter.phases
         ),
         intersection_pressure=intersection_pressure(state, net, intersection),
     )

@@ -15,7 +15,6 @@ from pressim.control import (
     make_controllers,
 )
 from pressim.network import Phase, build_grid
-from pressim.pressure import phase_scores
 from pressim.sim import ConfigurationError, FlowSpec, SignalState, SimConfig, SimState, Simulation
 from reference import PressureReport, efficient_mp_decide, mp_decide, pressure_report
 
@@ -108,29 +107,6 @@ def test_decisions_invariant_to_uniform_queue_scaling(data, scale):
         assert efficient_mp_decide(r1, inter.phases) == efficient_mp_decide(
             r2, inter.phases
         )
-
-
-def test_equal_phase_efficient_pressures_tie_by_phase_order():
-    # at n0_0, phase 1 (ET, WT) scores 0 + (3 - 1/3) and phase 2 (NL, SL)
-    # scores (1 - 1/3) + 2: both 8/3, which summed movement by movement in
-    # floats differ in the last bit and would pick phase 2
-    net = build_grid(1, 2, 300.0, 300.0)
-    counts = {
-        "boundary:W0__n0_0#1": 3,
-        "boundary:N0__n0_0#0": 1,
-        "boundary:S0__n0_0#0": 2,
-        "n0_0__n0_1#0": 1,
-    }
-    stt = SimState(
-        queues={l: deque(range(counts.get(l, 0))) for l in net.lane_index},
-        transit={r.id: deque() for r in net.roads},
-        signals={i.id: SignalState() for i in net.intersections},
-    )
-    scores = phase_scores(stt, net, "n0_0", efficient=True)
-    assert scores[1] == scores[2] == max(scores)
-    assert PressureController(efficient=True).decide(scores, "n0_0") == 1
-    inter = net.intersection_index["n0_0"]
-    assert efficient_mp_decide(pressure_report(stt, net, "n0_0"), inter.phases) == 1
 
 
 def test_fixed_time_visits_all_phases_once_per_cycle():

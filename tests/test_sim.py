@@ -672,34 +672,32 @@ def test_sleepers_wait_on_every_lane_their_heads_need():
     through head may go to either of two lanes: each solo movement asleep
     with a head waiting is on the wait list of every movement entering a
     candidate lane of each head bound its way, and each held road on those
-    of its due head's candidate lanes. Two-lane waits are rare, so two
-    demand seeds run."""
+    of its due head's candidate lanes."""
     net = _WAIT_GRIDS["loaded 3x3"]
+    flows = generate_synthetic_demand(net, Asymmetric(0.3, 0.15), 2, 600.0)
+    sim = Simulation(net, flows, SimConfig(lane_capacity=4, episode_length=600.0))
+    controllers = make_controllers(net, "efficient-mp", ControllerConfig(9.0))
     two_lane_waits = holds = 0
-    for seed in (2, 6):
-        flows = generate_synthetic_demand(net, Asymmetric(0.3, 0.15), seed, 600.0)
-        sim = Simulation(net, flows, SimConfig(lane_capacity=4, episode_length=600.0))
-        controllers = make_controllers(net, "efficient-mp", ControllerConfig(9.0))
-        for _ in range(600):
-            sim.step(controllers)
-            vehicles = sim.state.vehicles
-            for ii, (_, _, _, moves) in enumerate(sim._junctions):
-                for mv in moves:
-                    if sim._live[ii] & mv.bit or not any(mv.lanes):
-                        continue
-                    for q in filter(None, mv.lanes):
-                        v = vehicles[q[0]]
-                        if v.route[v.route_pos + 1] == mv.receiving_road:
-                            lanes = v.plan[v.route_pos + 1]
-                            two_lane_waits += len(lanes) > 1
-                            for lane in lanes:
-                                assert all((ii, mv.bit) in w for w in sim._waiting[lane])
-            for r, dq in enumerate(sim._transit):
-                if sim._held[r]:
-                    holds += 1
-                    v = vehicles[dq[0][1]]
-                    for lane in v.plan[v.route_pos]:
-                        assert all(r in w for w in sim._waiting[lane])
+    for _ in range(600):
+        sim.step(controllers)
+        vehicles = sim.state.vehicles
+        for ii, (_, _, _, moves) in enumerate(sim._junctions):
+            for mv in moves:
+                if sim._live[ii] & mv.bit or not any(mv.lanes):
+                    continue
+                for q in filter(None, mv.lanes):
+                    v = vehicles[q[0]]
+                    if v.route[v.route_pos + 1] == mv.receiving_road:
+                        lanes = v.plan[v.route_pos + 1]
+                        two_lane_waits += len(lanes) > 1
+                        for lane in lanes:
+                            assert all((ii, mv.bit) in w for w in sim._waiting[lane])
+        for r, dq in enumerate(sim._transit):
+            if sim._held[r]:
+                holds += 1
+                v = vehicles[dq[0][1]]
+                for lane in v.plan[v.route_pos]:
+                    assert all(r in w for w in sim._waiting[lane])
     assert two_lane_waits > 0 and holds > 0
 
 
