@@ -124,10 +124,10 @@ class FlowSpec:
     """Vehicles released along ``route`` every ``headway_s`` seconds.
 
     The requested release times are start_s + k * headway_s for k = 0, 1,
-    ... up to end_s. Each goes out on the first tick at or after it (tick 1
-    for a time at or before 0 s), so a tick carries several when the headway
-    is shorter than the tick, in order of k. The route must run boundary to
-    boundary.
+    ... up to end_s, from start_s >= 0. Each goes out on the first tick at
+    or after it (tick 1 for one at 0 s), so a tick carries several when the
+    headway is shorter than the tick, in order of k. The route must run
+    boundary to boundary.
     """
 
     route: tuple[str, ...]
@@ -487,7 +487,7 @@ class Simulation:
 
     def _release_tick(self, f: FlowSpec, k: int) -> Optional[int]:
         """The tick of ``f``'s ``k``-th release, the first at or after its
-        time (tick 1 for a time at or before 0 s); None past the flow's end."""
+        time (tick 1 for one at 0 s); None past the flow's end."""
         t = f.start_s + k * f.headway_s
         return (_ticks_to(t, self.config.tick) or 1) if t <= f.end_s + _EPS else None
 
@@ -722,6 +722,8 @@ def _timing_problems(f: FlowSpec) -> list[str]:
         problems.append("headway_s must be positive and finite")
     if not (math.isfinite(f.start_s) and math.isfinite(f.end_s)):
         problems.append("start_s and end_s must be finite")
+    elif f.start_s < 0:
+        problems.append("start_s before 0 s")
     elif f.end_s < f.start_s:
         problems.append("end_s before start_s")
     return problems

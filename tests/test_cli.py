@@ -476,6 +476,21 @@ def test_non_finite_flow_field_exits_2(grid_file, flows_file, capsys, field, val
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("start, headway", [(-3600.0, 1.0), (-1e-6, 2.0)])
+def test_negative_flow_start_exits_2(grid_file, tmp_path, capsys, start, headway):
+    """A release requested before 0 s has no tick to go out on: the flow
+    file is rejected before any vehicle is made."""
+    flows = tmp_path / "early.json"
+    flows.write_text(json.dumps([{"route": ["boundary:W0__n0_0", "n0_0__boundary:E0"],
+                                  "start_s": start, "end_s": 60.0, "headway_s": headway}]))
+    code = main(["run", "--network", str(grid_file), "--flows", str(flows),
+                 "--episode-length", "60", "--seeds", "0"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and "flow[0]: start_s before 0 s" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "start, headway, requested",
     [(1.5, 2.0, 300), (1.0, 2.5, 240), (1.0, 0.4, 1498), (0.0, 2.0, 301)],

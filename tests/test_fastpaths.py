@@ -144,7 +144,7 @@ def test_phase_scores_rejects_unknown_intersection():
 def _reference_releases(flows, tick, ticks):
     """Per tick, the flows releasing on it: each requested time
     start_s + k * headway_s up to end_s goes out on the first tick at or
-    after it (tick 1 for a time at or before 0 s), found by walking the
+    after it (tick 1 for one at 0 s), found by walking the
     ticks; flow order, then order of k, within a tick."""
     due = [[] for _ in range(ticks)]
     for fi, flow in enumerate(flows):

@@ -315,6 +315,7 @@ def test_flow_validation_messages():
         FlowSpec(("n0_0__boundary:E0", "boundary:W0__n0_0"), 0, 10, 5),
         FlowSpec(WE, 0, 10, 0),
         FlowSpec(WE, 10, 0, 5),
+        FlowSpec(WE, -1, 10, 5),
     ]
     problems = validate_flows(net, bad)
     assert any("at least 2 roads" in p for p in problems)
@@ -322,6 +323,7 @@ def test_flow_validation_messages():
     assert any("must start at a boundary" in p for p in problems)
     assert any("headway_s must be positive" in p for p in problems)
     assert any("end_s before start_s" in p for p in problems)
+    assert "flow[5]: start_s before 0 s" in problems
     with pytest.raises(ConfigurationError):
         Simulation(net, bad[:1], SimConfig())
 
