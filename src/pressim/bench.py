@@ -27,7 +27,8 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from pressim.control import Controller, ControllerConfig, make_controllers
-from pressim.network import Compass, PhaseScheme, Road, RoadNetwork, Turn, with_phase_scheme
+from pressim.network import Compass, PhaseScheme, RoadNetwork, Turn, with_phase_scheme
+from pressim.pressure import StateKind
 from pressim.sim import (
     ConfigurationError,
     FlowSpec,
@@ -171,11 +172,13 @@ def _follow_through(net: RoadNetwork, next_by_turn: dict, road_id: str, first_tu
     return tuple(route)
 
 
-def _route_rate(entry: Road, profile: DemandProfile) -> float:
+def _route_rate(approach: Compass, profile: DemandProfile) -> float:
+    """Base rate of a route entering on ``approach``; an east or west
+    approach runs along the east-west axis."""
     if isinstance(profile, Uniform):
         return profile.rate
     if isinstance(profile, Asymmetric):
-        ew = entry.heading in (Compass.E, Compass.W)
+        ew = approach in (Compass.E, Compass.W)
         return profile.major_rate if ew else profile.minor_rate
     return profile.base_rate
 
@@ -203,12 +206,18 @@ def generate_synthetic_demand(
     rng = np.random.default_rng(seed)
     flows: list[FlowSpec] = []
     next_by_turn = {(a, t): b for (a, b), t in net.turn_between.items()}
+    # every route's first road is entered by some movement, which names its approach
+    approach = {
+        net.lane_index[l][0].id: m.approach
+        for i in net.intersections for m in i.movements for l in m.entering
+        if l in net.lane_index
+    }
     for entry in net.entry_roads():
         for turn in (Turn.THROUGH, Turn.LEFT, Turn.RIGHT):
             route = _follow_through(net, next_by_turn, entry.id, turn)
             if route is None:
                 continue
-            rate = _route_rate(entry, profile)
+            rate = _route_rate(approach[entry.id], profile)
             headway = max(1.0, float(round(1.0 / rate)))
             offset = 1.0 + float(rng.integers(0, int(headway)))
             flows.append(
@@ -290,10 +299,39 @@ class ControllerSpec:
         return self.label or self.name
 
 
+def _phase_count(value) -> int:
+    if int(value) not in (4, 8):
+        raise ConfigurationError("phase scheme values must be 4 or 8")
+    return int(value)
+
+
+#: How each sweep parameter reads a value; cell labels show the value read.
+SWEEP_VALUES = {
+    "t_duration": lambda value: ControllerConfig(float(value)).t_duration,
+    "state": lambda value: StateKind(value).value,
+    "phases": _phase_count,
+}
+
+
 @dataclass(frozen=True)
 class Sweep:
+    """One parameter over several values, read as ``SWEEP_VALUES`` says
+    when the sweep is made, so a bad value fails before any cell runs."""
+
     param: str  # t_duration | state | phases
     values: tuple
+
+    def __post_init__(self) -> None:
+        read = SWEEP_VALUES.get(self.param)
+        if read is None:
+            raise ConfigurationError(f"unknown sweep parameter {self.param!r}")
+        if not self.values:
+            raise ConfigurationError("sweep needs at least one value")
+        try:
+            values = tuple(map(read, self.values))
+        except (TypeError, ValueError) as exc:  # ConfigurationError too
+            raise ConfigurationError(f"{self.param} sweep: {exc}") from None
+        object.__setattr__(self, "values", values)
 
 
 @dataclass(frozen=True)
@@ -310,11 +348,6 @@ class ExperimentPlan:
             raise ConfigurationError("experiment plan must not be empty")
         if self.jobs < 1:
             raise ConfigurationError("jobs must be at least 1")
-        if self.sweep is not None:
-            if self.sweep.param not in ("t_duration", "state", "phases"):
-                raise ConfigurationError(f"unknown sweep parameter {self.sweep.param!r}")
-            if not self.sweep.values:
-                raise ConfigurationError("sweep needs at least one value")
 
 
 @dataclass(frozen=True)
@@ -342,16 +375,13 @@ def _apply_sweep(
         return scenario, spec, scenario.id
     label = f"{scenario.id}[{sweep.param}={value}]"
     if sweep.param == "t_duration":
-        control = dataclasses.replace(spec.control, t_duration=float(value))
+        control = dataclasses.replace(spec.control, t_duration=value)
         return scenario, dataclasses.replace(spec, control=control), label
     if sweep.param == "phases":
-        scheme = PhaseScheme.FOUR if int(value) == 4 else PhaseScheme.EIGHT
-        net = with_phase_scheme(scenario.net, scheme)
+        net = with_phase_scheme(scenario.net, PhaseScheme(f"{value}-phase"))
         return dataclasses.replace(scenario, net=net), spec, label
     # state sweep: only meaningful for the learning controller
     if spec.learner is not None:
-        from pressim.pressure import StateKind
-
         learner = dataclasses.replace(spec.learner, state_kind=StateKind(value))
         return scenario, dataclasses.replace(spec, learner=learner), label
     return scenario, spec, label

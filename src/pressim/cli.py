@@ -24,6 +24,7 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 from pressim.bench import (
+    SWEEP_VALUES,
     ControllerSpec,
     ExperimentPlan,
     Scenario,
@@ -105,8 +106,7 @@ def _load_net(args) -> RoadNetwork:
             f"{args.network}: " + "; ".join(str(p) for p in problems[:5])
         )
     if getattr(args, "phases", None) is not None:
-        scheme = PhaseScheme.FOUR if args.phases == 4 else PhaseScheme.EIGHT
-        net = with_phase_scheme(net, scheme)
+        net = with_phase_scheme(net, PhaseScheme(f"{args.phases}-phase"))
     return net
 
 
@@ -187,15 +187,10 @@ def _sweep(args) -> Optional[Sweep]:
         raise ConfigurationError("give --param and --values together, or neither")
     if args.param is None:
         return None
-    # --param's choices are these keys, from the command line and the environment
-    parse = {"t_duration": float, "phases": int, "state": lambda v: StateKind(v).value}
     try:
-        values = tuple(map(parse[args.param], args.values.split(",")))
-    except ValueError as exc:
-        raise ConfigurationError(f"bad --values for {args.param}: {exc}") from None
-    if args.param == "phases" and any(v not in (4, 8) for v in values):
-        raise ConfigurationError("phase scheme values must be 4 or 8")
-    return Sweep(param=args.param, values=values)
+        return Sweep(param=args.param, values=tuple(args.values.split(",")))
+    except ConfigurationError as exc:  # "<param> sweep: <why>"
+        raise ConfigurationError(f"bad --values for {exc}") from None
 
 
 def cmd_sweep(args) -> int:
@@ -211,13 +206,12 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_gen_grid(args) -> int:
-    scheme = PhaseScheme.FOUR if args.scheme == 4 else PhaseScheme.EIGHT
     net = build_grid(
         args.rows,
         args.cols,
         args.ew_m,
         args.sn_m,
-        scheme,
+        PhaseScheme(f"{args.scheme}-phase"),
         speed_mps=args.speed,
         lanes_per_approach=args.lanes,
     )
@@ -271,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep", help="run several controllers, optionally sweeping a parameter"
     )
     _scenario_flags(p_sweep)
-    _add(p_sweep, "--param", choices=("t_duration", "state", "phases"))
+    _add(p_sweep, "--param", choices=tuple(SWEEP_VALUES))
     _add(p_sweep, "--values", help="comma-separated sweep values; needs --param")
     _add(p_sweep, "--controllers", type=_str_list, default=("mp",))
     p_sweep.set_defaults(func=cmd_sweep)

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Optional, TypeVar
+from typing import Callable, Iterable, TypeVar
 
 T = TypeVar("T")
 
@@ -85,7 +85,6 @@ class Road:
     length_m: float
     speed_mps: float
     lanes: tuple[Lane, ...]
-    heading: Compass
 
     @property
     def travel_time(self) -> float:
@@ -322,10 +321,15 @@ class Violation:
 def validate(net: RoadNetwork) -> list[Violation]:
     """Check every structural invariant; an empty list means well-formed."""
     out: list[Violation] = []
+    used = {
+        l for i in net.intersections for m in i.movements for l in (*m.entering, *m.exiting)
+    }
 
     for road in net.roads:
         if not road.lanes:
             out.append(Violation(road.id, "road has no lanes"))
+        elif not any(lane.id in used for lane in road.lanes):
+            out.append(Violation(road.id, "no movement enters or leaves this road"))
         if not 0 < road.length_m < math.inf:  # NaN fails it too
             out.append(Violation(road.id, "length must be positive and finite"))
         if not 0 < road.speed_mps < math.inf:
@@ -455,11 +459,12 @@ def build_grid(
 
     roads: dict[str, Road] = {}
 
-    def add_road(src: str, dst: str, heading: Compass) -> Road:
+    def add_road(src: str, dst: str, side: Compass) -> Road:
+        """The road between ``src`` and ``dst`` on a junction's ``side``."""
         rid = f"{src}__{dst}"
         if rid in roads:
             return roads[rid]
-        length = ew_length_m if heading in (Compass.E, Compass.W) else sn_length_m
+        length = ew_length_m if side in (Compass.E, Compass.W) else sn_length_m
         lanes = tuple(
             Lane(id=f"{rid}#{i}", road=rid, index=i, designation=d)
             for i, d in enumerate(designations)
@@ -471,7 +476,6 @@ def build_grid(
             length_m=length,
             speed_mps=speed_mps,
             lanes=lanes,
-            heading=heading,
         )
         roads[rid] = road
         return road
@@ -484,7 +488,7 @@ def build_grid(
             exit_: dict[Compass, Road] = {}
             for side in _CLOCKWISE:
                 nb = neighbor(r, c, side)
-                approach[side] = add_road(nb, nid, opposite(side))
+                approach[side] = add_road(nb, nid, side)
                 exit_[side] = add_road(nid, nb, side)
 
             movements: list[TrafficMovement] = []
@@ -621,11 +625,7 @@ def parser(parse: Callable[[object], T]) -> Callable[[object], T]:
 @parser
 def network_from_dict(doc: dict) -> RoadNetwork:
     scheme = PhaseScheme(doc["phase_scheme"])
-    intersection_ids = {i["id"] for i in doc["intersections"]}
-
     intersections = []
-    lane_to_approach: dict[str, Compass] = {}
-    movements_by_exit_lane: dict[str, tuple[Compass, Turn]] = {}
     for idoc in doc["intersections"]:
         movements = tuple(
             TrafficMovement(
@@ -637,11 +637,6 @@ def network_from_dict(doc: dict) -> RoadNetwork:
             )
             for m in idoc["movements"]
         )
-        for m in movements:
-            for lane_id in m.entering:
-                lane_to_approach[lane_id] = m.approach
-            for lane_id in m.exiting:
-                movements_by_exit_lane[lane_id] = (m.approach, m.turn)
         intersections.append(
             Intersection(
                 id=idoc["id"],
@@ -667,24 +662,6 @@ def network_from_dict(doc: dict) -> RoadNetwork:
             )
             for l in rdoc["lanes"]
         )
-        # Heading is not stored: derive it from the movement tables. A road
-        # ending at an intersection carries that intersection's approach
-        # lanes; a road leaving one is some movement's receiving road.
-        heading: Optional[Compass] = None
-        if rdoc["to"] in intersection_ids:
-            for lane in lanes:
-                if lane.id in lane_to_approach:
-                    heading = opposite(lane_to_approach[lane.id])
-                    break
-        if heading is None:
-            for lane in lanes:
-                key = movements_by_exit_lane.get(lane.id)
-                if key is not None:
-                    approach, turn = key
-                    heading = turned_heading(opposite(approach), turn)
-                    break
-        if heading is None:
-            raise ValueError(f"cannot derive heading for road {rid}")
         roads.append(
             Road(
                 id=rid,
@@ -693,7 +670,6 @@ def network_from_dict(doc: dict) -> RoadNetwork:
                 length_m=float(rdoc["length_m"]),
                 speed_mps=float(rdoc["speed_mps"]),
                 lanes=lanes,
-                heading=heading,
             )
         )
 

@@ -4,11 +4,12 @@ One template covers every instantiation: the observation kind and reward
 kind are config fields, so a queue-count agent and an efficient-pressure
 agent differ only in configuration. The function approximator is a small
 fully-connected network written directly in numpy, with its own backward
-pass, a finite-difference gradient check, and an adaptive-moment update.
-All of a network's weights and biases are views into one float64 vector,
-and its gradient and moment estimates are vectors of the same layout, so
-the update is one pass of array operations over the whole network, however
-many layers it has. Parameters must therefore be written in place.
+pass (the tests check it against central differences) and an
+adaptive-moment update. All of a network's weights and biases are views
+into one float64 vector, and its gradient and moment estimates are vectors
+of the same layout, so the update is one pass of array operations over the
+whole network, however many layers it has. Parameters must therefore be
+written in place.
 
 Training embeds the agent as a signal controller: at each decision instant
 it observes, finalizes the previous step's transition with the reward
@@ -32,7 +33,7 @@ import numpy as np
 
 from pressim.bench import RunReport, report_from_sim, run_episode
 from pressim.control import Controller, ControllerConfig
-from pressim.network import RoadNetwork, load_json, parser
+from pressim.network import RoadNetwork
 from pressim.pressure import RewardKind, StateKind, extract_state, reward
 from pressim.sim import ConfigurationError, FlowSpec, SimConfig, Simulation, SimState
 
@@ -223,8 +224,13 @@ class QFunction:
         other.params[...] = self.params
 
     def clone(self) -> "QFunction":
-        """Same parameters, fresh optimizer state."""
-        return QFunction.from_doc(self.to_doc())
+        """Same parameters, fresh optimizer state. The initial weights drawn
+        here are overwritten, so a throwaway generator draws them."""
+        q = QFunction(
+            self.input_size, self.output_size, self.hidden_sizes, np.random.default_rng(0)
+        )
+        self.copy_into(q)
+        return q
 
     def to_doc(self) -> dict:
         return {
@@ -234,32 +240,6 @@ class QFunction:
             "shapes": [list(p.shape) for p in self._params()],
             "values": [p.ravel().tolist() for p in self._params()],
         }
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> "QFunction":
-        """The network ``to_doc`` described; every shape and value count must
-        fit the layer sizes the document names."""
-        q = cls(
-            doc["input_size"],
-            doc["output_size"],
-            doc["hidden_sizes"],
-            np.random.default_rng(0),
-        )
-        shapes = [list(p.shape) for p in q._params()]
-        if doc["shapes"] != shapes or len(doc["values"]) != len(shapes):
-            raise ConfigurationError(
-                f"parameter shapes {doc['shapes']} do not fit layers {shapes}"
-            )
-        for p, values in zip(q._params(), doc["values"]):
-            flat = np.asarray(values, dtype=np.float64)
-            if flat.shape != (p.size,):
-                raise ConfigurationError(
-                    f"a {list(p.shape)} tensor needs {p.size} values, got shape {list(flat.shape)}"
-                )
-            if not np.isfinite(flat).all():
-                raise ConfigurationError("parameter values must be finite")
-            p[...] = flat.reshape(p.shape)
-        return q
 
 
 def act(q: QFunction, obs: np.ndarray, epsilon: float, rng: np.random.Generator) -> int:
@@ -294,40 +274,6 @@ def learn_step(
     if not math.isfinite(loss):
         raise TrainingDiverged(f"TD loss became non-finite: {loss}")
     return q, loss
-
-
-def gradient_check(
-    q: QFunction, s: np.ndarray, a: int, target: float, step: float = 1e-5
-) -> float:
-    """Max relative error between analytic and central-difference gradients
-    of the squared TD error, measured per parameter tensor as
-    ``|analytic - numeric| / (|analytic| + |numeric|)`` in the 2-norm."""
-    x = np.asarray(s, dtype=np.float64)[None, :]
-    actions = np.array([a], dtype=np.intp)
-    targets = np.array([target], dtype=np.float64)
-    analytic = q.views(q.td_gradients(x, actions, targets).copy())
-
-    def loss_now() -> float:
-        out = q.forward(x)
-        return float((out[0, a] - target) ** 2)
-
-    worst = 0.0
-    for p, g in zip(q._params(), analytic):
-        numeric = np.zeros_like(g)
-        flat_p = p.ravel()
-        flat_n = numeric.ravel()
-        for i in range(flat_p.size):
-            orig = flat_p[i]
-            flat_p[i] = orig + step
-            up = loss_now()
-            flat_p[i] = orig - step
-            down = loss_now()
-            flat_p[i] = orig
-            flat_n[i] = (up - down) / (2.0 * step)
-        denom = np.linalg.norm(g) + np.linalg.norm(numeric)
-        if denom > 1e-12:
-            worst = max(worst, float(np.linalg.norm(g - numeric) / denom))
-    return worst
 
 
 class ReplayBuffer:
@@ -497,33 +443,6 @@ class LearningAgent(Controller):
             self.q_functions[scope].copy_into(self.target_functions[scope])
 
 
-class QPolicyController(Controller):
-    """Frozen greedy policy around trained parameters; deterministic, so it
-    plugs in anywhere a classical controller does."""
-
-    def __init__(
-        self,
-        net: RoadNetwork,
-        q_functions: dict[str, QFunction],
-        state_kind: StateKind,
-        shared: bool = True,
-        t_duration: float = 15.0,
-    ):
-        super().__init__(ControllerConfig(t_duration=t_duration))
-        self.net = net
-        self.q_functions = q_functions
-        self.state_kind = state_kind
-        self.shared = shared
-
-    def observe(self, state: SimState, net: RoadNetwork, intersection: str):
-        return extract_state(state, net, intersection, self.state_kind)
-
-    def decide(self, observation: np.ndarray, intersection: str) -> int:
-        scope = "shared" if self.shared else intersection
-        values = self.q_functions[scope].forward(observation)
-        return int(np.argmax(values))
-
-
 def train(
     net: RoadNetwork,
     flows: list[FlowSpec],
@@ -575,37 +494,3 @@ def save_parameters(agent: LearningAgent, path: str | Path) -> None:
         "scopes": {s: q.to_doc() for s, q in agent.q_functions.items()},
     }
     Path(path).write_text(json.dumps(doc))
-
-
-def load_policy(net: RoadNetwork, path: str | Path) -> QPolicyController:
-    """The frozen policy ``save_parameters`` wrote; each scope's networks must
-    fit the observation and phase counts of the intersections it serves."""
-
-    @parser
-    def policy_from_dict(doc: dict) -> QPolicyController:
-        shared = doc["shared_parameters"]
-        if not isinstance(shared, bool):
-            raise ConfigurationError("shared_parameters must be true or false")
-        sizes = _scope_sizes(net, shared)
-        if set(doc["scopes"]) != set(sizes):
-            raise ConfigurationError(
-                f"policy scopes {sorted(doc['scopes'])} do not match {sorted(sizes)}"
-            )
-        q_functions = {}
-        for scope, (input_size, n_phases) in sizes.items():
-            q = QFunction.from_doc(doc["scopes"][scope])
-            if (q.input_size, q.output_size) != (input_size, n_phases):
-                raise ConfigurationError(
-                    f"scope {scope} maps {q.input_size} inputs to {q.output_size}"
-                    f" phases; the network needs {input_size} to {n_phases}"
-                )
-            q_functions[scope] = q
-        return QPolicyController(
-            net,
-            q_functions,
-            StateKind(doc["state_kind"]),
-            shared=shared,
-            t_duration=doc["t_duration"],
-        )
-
-    return load_json(path, policy_from_dict)

@@ -4,17 +4,30 @@ The per-movement pressure functions and the deciders that read their
 report follow the paper's definitions one movement at a time: the lane
 table's ``phase_scores``, ``extract_state`` and ``reward`` must return
 exactly what they compute. The simulations below are the engine with a
-full scan in place of a calendar or wait list.
+full scan in place of a calendar or wait list. The learner's oracles close
+the file: a central-difference check of ``td_gradients``, and the loader
+that reads ``save_parameters``' file back into a frozen greedy policy.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Sequence
 
-from pressim.control import _argmax_lowest
+import numpy as np
+
+from pressim.control import Controller, ControllerConfig, _argmax_lowest
 from pressim.network import Intersection, Phase, RoadNetwork, TrafficMovement
-from pressim.pressure import efficient_pressure, movement_pressure, phase_pressure
+from pressim.pressure import (
+    StateKind,
+    efficient_pressure,
+    extract_state,
+    movement_pressure,
+    phase_pressure,
+)
+from pressim.rl import QFunction, _scope_sizes
 from pressim.sim import (
     _EPS,
     ConfigurationError,
@@ -251,3 +264,86 @@ class AwakeSimulation(Simulation):
                             self._calendar[n + 1].append(r)
                     c -= 1.0
                 credit[mv.id] = min(c, 1.0)
+
+
+# -- the learner's oracles ---------------------------------------------------
+
+
+def gradient_check(
+    q: QFunction, s: np.ndarray, a: int, target: float, step: float = 1e-5
+) -> float:
+    """Max relative error between analytic and central-difference gradients
+    of the squared TD error, measured per parameter tensor as
+    ``|analytic - numeric| / (|analytic| + |numeric|)`` in the 2-norm."""
+    x = np.asarray(s, dtype=np.float64)[None, :]
+    actions = np.array([a], dtype=np.intp)
+    targets = np.array([target], dtype=np.float64)
+    analytic = q.views(q.td_gradients(x, actions, targets).copy())
+
+    def loss_now() -> float:
+        out = q.forward(x)
+        return float((out[0, a] - target) ** 2)
+
+    worst = 0.0
+    for p, g in zip(q._params(), analytic):
+        numeric = np.zeros_like(g)
+        flat_p = p.ravel()
+        flat_n = numeric.ravel()
+        for i in range(flat_p.size):
+            orig = flat_p[i]
+            flat_p[i] = orig + step
+            up = loss_now()
+            flat_p[i] = orig - step
+            down = loss_now()
+            flat_p[i] = orig
+            flat_n[i] = (up - down) / (2.0 * step)
+        denom = np.linalg.norm(g) + np.linalg.norm(numeric)
+        if denom > 1e-12:
+            worst = max(worst, float(np.linalg.norm(g - numeric) / denom))
+    return worst
+
+
+def q_function_from_doc(doc: dict) -> QFunction:
+    """The network ``QFunction.to_doc`` described."""
+    q = QFunction(
+        doc["input_size"], doc["output_size"], doc["hidden_sizes"], np.random.default_rng(0)
+    )
+    assert doc["shapes"] == [list(p.shape) for p in q._params()]
+    for p, values in zip(q._params(), doc["values"], strict=True):
+        p[...] = np.reshape(values, p.shape)
+    return q
+
+
+class QPolicyController(Controller):
+    """Frozen greedy policy around trained parameters."""
+
+    def __init__(
+        self,
+        q_functions: dict[str, QFunction],
+        state_kind: StateKind,
+        shared: bool,
+        t_duration: float,
+    ):
+        super().__init__(ControllerConfig(t_duration=t_duration))
+        self.q_functions = q_functions
+        self.state_kind = state_kind
+        self.shared = shared
+
+    def observe(self, state: SimState, net: RoadNetwork, intersection: str):
+        return extract_state(state, net, intersection, self.state_kind)
+
+    def decide(self, observation: np.ndarray, intersection: str) -> int:
+        scope = "shared" if self.shared else intersection
+        return int(np.argmax(self.q_functions[scope].forward(observation)))
+
+
+def load_policy(net: RoadNetwork, path: str | Path) -> QPolicyController:
+    """The frozen policy ``save_parameters`` wrote; each scope's network must
+    fit the observation and phase counts of the intersections it serves."""
+    doc = json.loads(Path(path).read_text())
+    q_functions = {s: q_function_from_doc(d) for s, d in doc["scopes"].items()}
+    sizes = {s: (q.input_size, q.output_size) for s, q in q_functions.items()}
+    assert sizes == _scope_sizes(net, doc["shared_parameters"])
+    return QPolicyController(
+        q_functions, StateKind(doc["state_kind"]), doc["shared_parameters"], doc["t_duration"]
+    )

@@ -40,7 +40,6 @@ from pressim.rl import (
     QFunction,
     QLearnerConfig,
     evaluation_travel_time,
-    gradient_check,
     train,
 )
 from pressim.sim import (
@@ -51,6 +50,7 @@ from pressim.sim import (
     Transition,
     VehicleStatus,
 )
+from reference import gradient_check
 
 
 def _verdict(num: int, name: str, ok: bool, detail: str = "") -> None:

@@ -154,12 +154,11 @@ def test_demand_seed_staggering():
 def test_asymmetric_demand_splits_by_heading():
     net = build_grid(1, 1, 300.0, 300.0)
     flows = generate_synthetic_demand(net, Asymmetric(0.2, 0.05), seed=0)
+    assert len(flows) == 12
     for f in flows:
-        entry = net.road_index[f.route[0]]
-        if entry.heading.name in ("E", "W"):
-            assert f.headway_s == pytest.approx(5.0)
-        else:
-            assert f.headway_s == pytest.approx(20.0)
+        # a route from the east or west boundary runs east-west
+        ew = net.road_index[f.route[0]].src.startswith(("boundary:E", "boundary:W"))
+        assert f.headway_s == pytest.approx(5.0 if ew else 20.0)
 
 
 def test_peaked_demand_adds_window_flows():
@@ -386,11 +385,12 @@ def test_plan_validation():
             scenarios=(scenario,), controllers=(spec,), seeds=(0,),
             sweep=Sweep(param="speed", values=(1,)),
         )
-    with pytest.raises(ConfigurationError):
-        ExperimentPlan(
-            scenarios=(scenario,), controllers=(spec,), seeds=(0,),
-            sweep=Sweep(param="state", values=()),
-        )
+    for param, values in (("state", ()), ("phases", (6,)), ("t_duration", ("x",))):
+        with pytest.raises(ConfigurationError):
+            ExperimentPlan(
+                scenarios=(scenario,), controllers=(spec,), seeds=(0,),
+                sweep=Sweep(param=param, values=values),
+            )
 
 
 def test_unknown_controller_becomes_cell_failure():

@@ -205,16 +205,24 @@ def _drop_phase_scheme(path):
     path.write_text(json.dumps(doc))
 
 
+def _add_unused_road(path):
+    doc = json.loads(path.read_text())
+    doc["roads"].append({**doc["roads"][0], "id": "boundary:X__n0_0", "from": "boundary:X"})
+    path.write_text(json.dumps(doc))
+
+
 @pytest.mark.parametrize(
     "case",
     ["flow-without-start", "network-without-phase-scheme", "network-not-json",
-     "network-missing"],
+     "network-missing", "network-with-unused-road"],
 )
 def test_malformed_input_exits_two(case, grid_file, flows_file, capsys):
     if case == "flow-without-start":
         _drop_start(flows_file)
     elif case == "network-without-phase-scheme":
         _drop_phase_scheme(grid_file)
+    elif case == "network-with-unused-road":
+        _add_unused_road(grid_file)
     elif case == "network-not-json":
         grid_file.write_text("{not json")
     else:

