@@ -348,6 +348,13 @@ class ExperimentPlan:
             raise ConfigurationError("experiment plan must not be empty")
         if self.jobs < 1:
             raise ConfigurationError("jobs must be at least 1")
+        if self.sweep is not None and self.sweep.param == "state":
+            classical = [spec.display for spec in self.controllers if spec.learner is None]
+            if classical:
+                raise ConfigurationError(
+                    "a state sweep needs learning controllers; "
+                    f"{', '.join(classical)} would repeat one cell per value"
+                )
 
 
 @dataclass(frozen=True)
@@ -380,11 +387,9 @@ def _apply_sweep(
     if sweep.param == "phases":
         net = with_phase_scheme(scenario.net, PhaseScheme(f"{value}-phase"))
         return dataclasses.replace(scenario, net=net), spec, label
-    # state sweep: only meaningful for the learning controller
-    if spec.learner is not None:
-        learner = dataclasses.replace(spec.learner, state_kind=StateKind(value))
-        return scenario, dataclasses.replace(spec, learner=learner), label
-    return scenario, spec, label
+    # state sweep: ExperimentPlan admits only learning controllers
+    learner = dataclasses.replace(spec.learner, state_kind=StateKind(value))
+    return scenario, dataclasses.replace(spec, learner=learner), label
 
 
 def _run_cell(

@@ -142,6 +142,7 @@ class QFunction:
         self._adam_v = np.zeros_like(self.params)
         self._adam_t = 0
         self._rows = np.arange(0)
+        self.td_errors = np.empty(0)
 
     def views(self, flat: np.ndarray) -> list[np.ndarray]:
         """Per-tensor views into a vector of the parameter layout: the
@@ -191,7 +192,8 @@ class QFunction:
     ) -> np.ndarray:
         """Gradient of mean squared TD error over a batch of float64 rows, as
         a vector of the parameter layout. The vector is this network's own
-        buffer: the next call overwrites it."""
+        buffer: the next call overwrites it. The batch's TD errors are left
+        in ``td_errors``."""
         out, acts = self._layers(states)
         n = len(states)
         rows = self._row_index(n)
@@ -204,6 +206,7 @@ class QFunction:
             if layer > 0:
                 delta = delta @ self.weights[layer].T
                 delta *= acts[layer] > 0.0
+        self.td_errors = diff
         return self._grad
 
     def apply_gradients(self, grad: np.ndarray, learning_rate: float) -> None:
@@ -243,13 +246,13 @@ class QFunction:
 
 
 def act(q: QFunction, obs: np.ndarray, epsilon: float, rng: np.random.Generator) -> int:
-    """Epsilon-greedy phase choice; greedy ties go to the lowest index."""
+    """Epsilon-greedy phase choice for one float64 observation vector; greedy
+    ties go to the lowest index."""
     if not 0 <= epsilon <= 1:
         raise ConfigurationError("epsilon must be in [0, 1]")
     if epsilon > 0 and rng.random() < epsilon:
         return int(rng.integers(q.output_size))
-    values = q.forward(obs)
-    return int(np.argmax(values))
+    return int(q._layers(obs[None, :])[0].argmax())
 
 
 def learn_step(
@@ -259,8 +262,9 @@ def learn_step(
     config: QLearnerConfig,
 ) -> tuple[QFunction, float]:
     """One gradient step toward r + gamma * max target value (r alone at
-    episode boundaries); returns the loss measured after the step. The
-    batch holds float64 observation rows, as ``ReplayBuffer.sample`` builds."""
+    episode boundaries); returns the loss measured before the step, on the
+    TD errors the step follows. The batch holds float64 observation rows,
+    as ``ReplayBuffer.sample`` builds."""
     n = len(batch.action)
     if n == 0:
         raise ConfigurationError("learn_step needs a non-empty batch")
@@ -269,11 +273,21 @@ def learn_step(
         targets = batch.reward + np.where(batch.terminal, 0.0, config.gamma * bootstrap)
         grad = q.td_gradients(batch.obs, batch.action, targets)
         q.apply_gradients(grad, config.learning_rate)
-        diff = q._layers(batch.obs)[0][q._row_index(n), batch.action] - targets
+        diff = q.td_errors
         loss = float(np.add.reduce(diff * diff) / n)  # np.mean(diff**2), without its checks
     if not math.isfinite(loss):
         raise TrainingDiverged(f"TD loss became non-finite: {loss}")
     return q, loss
+
+
+class _Rows(NamedTuple):
+    """Replay storage: ``obs`` holds each transition's observation and next
+    observation side by side, so one gather serves both."""
+
+    obs: np.ndarray  # (rows, 2, obs_size)
+    action: np.ndarray
+    reward: np.ndarray
+    terminal: np.ndarray
 
 
 class ReplayBuffer:
@@ -289,9 +303,9 @@ class ReplayBuffer:
             raise ConfigurationError("buffer capacity must be at least 1")
         self.capacity = capacity
         rows = min(capacity, self.INITIAL_ROWS)
-        self._rows = Batch(
-            np.empty((rows, obs_size)), np.empty(rows, np.intp), np.empty(rows),
-            np.empty((rows, obs_size)), np.empty(rows, bool),
+        self._rows = _Rows(
+            np.empty((rows, 2, obs_size)), np.empty(rows, np.intp), np.empty(rows),
+            np.empty(rows, bool),
         )
         self._size = 0
         self._cursor = 0  # the next slot written; the oldest row once full
@@ -303,10 +317,13 @@ class ReplayBuffer:
         if self._size == rows < self.capacity:
             grown = min(2 * rows, self.capacity)
             # np.resize keeps the stored rows first; later rows are written before read
-            self._rows = Batch(*(np.resize(a, (grown, *a.shape[1:])) for a in self._rows))
+            self._rows = _Rows(*(np.resize(a, (grown, *a.shape[1:])) for a in self._rows))
         slot = self._cursor
-        for column, value in zip(self._rows, (obs, action, r, next_obs, terminal)):
-            column[slot] = value
+        pair = self._rows.obs[slot]
+        pair[0], pair[1] = obs, next_obs
+        self._rows.action[slot] = action
+        self._rows.reward[slot] = r
+        self._rows.terminal[slot] = terminal
         self._cursor = (slot + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
 
@@ -316,7 +333,8 @@ class ReplayBuffer:
         idx = rng.choice(self._size, size=n, replace=False)
         if self._size == self.capacity:
             idx = (idx + self._cursor) % self.capacity
-        return Batch(*(column[idx] for column in self._rows))
+        obs, action, reward, terminal = (column.take(idx, axis=0) for column in self._rows)
+        return Batch(obs[:, 0], action, reward, obs[:, 1], terminal)
 
     def __len__(self) -> int:
         return self._size

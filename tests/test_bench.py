@@ -393,6 +393,27 @@ def test_plan_validation():
             )
 
 
+def test_state_sweep_takes_only_learning_controllers():
+    from pressim.bench import _apply_sweep
+    from pressim.pressure import StateKind
+    from pressim.rl import QLearnerConfig
+
+    scenario = tiny_scenario()
+    learner = ControllerSpec(name="rl", learner=QLearnerConfig())
+    sweep = Sweep(param="state", values=("nv", "ep"))
+    plan = ExperimentPlan(
+        scenarios=(scenario,), controllers=(learner,), seeds=(0,), sweep=sweep
+    )
+    kinds = [_apply_sweep(scenario, learner, plan.sweep, v)[1].learner.state_kind
+             for v in plan.sweep.values]
+    assert kinds == [StateKind.NV, StateKind.EFFICIENT_PRESSURE]
+    with pytest.raises(ConfigurationError, match="fixedtime"):
+        ExperimentPlan(
+            scenarios=(scenario,), controllers=(learner, ControllerSpec(name="fixedtime")),
+            seeds=(0,), sweep=sweep,
+        )
+
+
 def test_unknown_controller_becomes_cell_failure():
     plan = ExperimentPlan(
         scenarios=(tiny_scenario(),),

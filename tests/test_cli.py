@@ -261,6 +261,17 @@ def test_sweep_rejects_unparsable_values(grid_file, flows_file, param, values, c
     assert f"bad --values for {param}" in capsys.readouterr().err
 
 
+def test_state_sweep_over_classical_controllers_exits_2(grid_file, flows_file, tmp_path, capsys):
+    out_dir = tmp_path / "copies"
+    code = main(["sweep", "--network", str(grid_file), "--flows", str(flows_file),
+                 "--param", "state", "--values", "nv,ep", "--controllers", "mp,fixedtime",
+                 "--seeds", "0", "--out", str(out_dir)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "state sweep" in err and "mp, fixedtime" in err
+    assert not out_dir.exists()
+
+
 def _detail_rows(out_dir):
     with open(out_dir / "detail.csv", newline="") as fh:
         return list(csv.reader(fh))[1:]
@@ -336,7 +347,7 @@ def test_readme_experiment_commands_parse():
     parser = build_parser()
     for argv in commands:
         parser.parse_args(argv[1:])
-    assert [argv[1] for argv in commands].count("sweep") == 4
+    assert [argv[1] for argv in commands].count("sweep") == 5
 
 
 def test_env_vars_supply_missing_flags(tmp_path, monkeypatch):

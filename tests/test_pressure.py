@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 from collections import deque
+from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pressim.bench import Uniform, generate_synthetic_demand
+from pressim.control import make_controllers
 from pressim.network import RoadNetwork, TrafficMovement, build_grid
 from pressim.pressure import (
     LaneStats,
@@ -18,7 +22,7 @@ from pressim.pressure import (
     phase_pressure,
     reward,
 )
-from pressim.sim import ConfigurationError, SignalState, SimState, Vehicle
+from pressim.sim import ConfigurationError, SignalState, SimConfig, SimState, Simulation, Vehicle
 from reference import (
     downstream_queue,
     etm_efficient_pressure,
@@ -352,3 +356,35 @@ def test_extract_state_eight_phase_onehot_width():
     assert len(onehot) == 8
     assert len(features) == 8
     assert len(obs) == 16
+
+
+def observations_of_a_fixed_time_run(net: RoadNetwork) -> dict[StateKind, np.ndarray]:
+    """Every state kind's observations of every intersection, sampled every
+    20 s of a 600 s fixed-time run."""
+    flows = generate_synthetic_demand(net, Uniform(0.1), seed=0, horizon_s=600.0)
+    sim = Simulation(net, flows, SimConfig(episode_length=600.0))
+    controllers = make_controllers(net, "fixedtime")
+    seen: dict[StateKind, list] = {kind: [] for kind in StateKind}
+    for tick in range(1, 601):
+        sim.step(controllers)
+        if tick % 20 == 0:
+            for kind, rows in seen.items():
+                rows += [extract_state(sim.state, net, i.id, kind) for i in net.intersections]
+    return {kind: np.array(rows) for kind, rows in seen.items()}
+
+
+def test_state_kinds_differ_pairwise_on_a_2x2_grid():
+    seen = observations_of_a_fixed_time_run(build_grid(2, 2, 300.0, 300.0))
+    for a, b in combinations(StateKind, 2):
+        assert not np.array_equal(seen[a], seen[b]), (a, b)
+
+
+def test_state_kinds_collapse_into_two_pairs_on_a_1x1_grid():
+    """Every receiving road of a 1x1 grid drains to a boundary, so every
+    downstream term is 0: the ablation there compares two representations."""
+    seen = observations_of_a_fixed_time_run(build_grid(1, 1, 300.0, 300.0))
+    np.testing.assert_array_equal(seen[StateKind.NV], seen[StateKind.PRESSURE_NV])
+    np.testing.assert_array_equal(
+        seen[StateKind.EFFICIENT_PRESSURE], seen[StateKind.PRESSURE_QUEUE]
+    )
+    assert not np.array_equal(seen[StateKind.NV], seen[StateKind.EFFICIENT_PRESSURE])

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pressim import rl
 from pressim.bench import Uniform, generate_synthetic_demand
 from pressim.network import build_grid
 from pressim.rl import (
@@ -117,6 +118,102 @@ def test_learn_step_terminal_excludes_bootstrap():
     for _ in range(2500):
         q, _ = learn_step(q, target, b, cfg)
     assert q.forward(b.obs[0])[0] == pytest.approx(-4.0, abs=1e-2)
+
+
+def random_batch(rng: np.random.Generator, n: int, obs_size: int, n_actions: int) -> Batch:
+    return Batch(
+        rng.normal(size=(n, obs_size)) * 10.0,
+        rng.integers(n_actions, size=n),
+        rng.normal(size=n),
+        rng.normal(size=(n, obs_size)) * 10.0,
+        rng.random(n) < 0.2,
+    )
+
+
+def test_learn_step_returns_the_loss_before_its_update():
+    rng = np.random.default_rng(4)
+    q = QFunction(5, 3, (16,), rng)
+    target = q.clone()
+    b = random_batch(rng, 16, 5, 3)
+    cfg = QLearnerConfig(gamma=0.9, batch_size=16, buffer_capacity=16)
+    targets = b.reward + np.where(b.terminal, 0.0, 0.9 * target.forward(b.next_obs).max(axis=1))
+    chosen = q.forward(b.obs)[np.arange(16), b.action]
+    _, loss = learn_step(q, target, b, cfg)
+    assert loss == pytest.approx(np.mean((chosen - targets) ** 2), rel=1e-12)
+
+
+def test_arrays_handed_out_survive_later_calls():
+    rng = np.random.default_rng(11)
+    q = QFunction(3, 4, (8, 8), rng)
+    target = q.clone()
+    buf = ReplayBuffer(64, 3)
+    for i in range(40):
+        buf.push(rng.normal(size=3) * 10.0, i % 4, float(i), rng.normal(size=3), i % 7 == 0)
+    cfg = QLearnerConfig(batch_size=8, buffer_capacity=64)
+    held = buf.sample(8, rng)
+    one, many = q.forward(held.obs[0]), q.forward(held.obs)
+    greedy = act(q, held.obs[0], 0.0, rng)
+    kept = [a.copy() for a in (*held, one, many)]
+    for n in (8, 1, 8):
+        learn_step(q, target, buf.sample(n, rng), cfg)
+        q.forward(buf.sample(n, rng).obs)
+        act(q, held.obs[1], 0.0, rng)
+    assert not np.array_equal(q.forward(held.obs), many)  # the network did move
+    for got, want in zip((*held, one, many), kept):
+        np.testing.assert_array_equal(got, want)
+    assert greedy == int(np.argmax(kept[-2]))
+
+
+def test_learn_steps_over_changing_batch_sizes_repeat_bit_for_bit():
+    """Whatever a network keeps between calls of one batch size changes no
+    bit of a later step: a network that ran every size before matches one
+    that is cloned afresh, optimizer state and all, for every step."""
+    rng = np.random.default_rng(12)
+    q = QFunction(5, 3, (16, 8), rng)
+    target, twin, fresh = q.clone(), q.clone(), q.clone()
+    batches = [random_batch(rng, n, 5, 3) for n in (1, 64, 8, 64)]
+    cfg = QLearnerConfig(gamma=0.9, learning_rate=1e-2)
+    warm = [learn_step(q, target, b, cfg)[1] for b in batches]
+    same = [learn_step(twin, target, b, cfg)[1] for b in batches]
+    cold = []
+    for b in batches:
+        stepped = fresh.clone()
+        stepped._adam_m[...], stepped._adam_v[...] = fresh._adam_m, fresh._adam_v
+        stepped._adam_t = fresh._adam_t
+        cold.append(learn_step(stepped, target, b, cfg)[1])
+        fresh = stepped
+    assert warm == same == cold
+    for other in (twin, fresh):
+        for mine, theirs in ((q.params, other.params), (q._adam_m, other._adam_m),
+                             (q._adam_v, other._adam_v)):
+            np.testing.assert_array_equal(mine, theirs)
+
+
+def test_training_reaches_the_traced_layers(monkeypatch):
+    """The benchmark's traced run times the learner by wrapping ``rl.act``,
+    ``rl.learn_step`` and ``ReplayBuffer.sample`` where they live; training
+    must call them there, or those layers would read 0."""
+    calls: Counter = Counter()
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(rl, "learn_step")
+    count(rl, "act")
+    count(rl.ReplayBuffer, "sample")
+    net = build_grid(1, 2, 300.0, 300.0)
+    flows = generate_synthetic_demand(net, Uniform(0.08), seed=0, horizon_s=300.0)
+    cfg = QLearnerConfig(episodes=2, eval_episodes=1, batch_size=8, seed=0)
+    agent, reports = train(net, flows, cfg, SimConfig(episode_length=300.0))
+    assert calls["learn_step"] == len(agent.losses) > 0
+    assert calls["sample"] == calls["learn_step"]
+    assert calls["act"] == sum(r.decisions for r in reports) > 0
 
 
 def test_learn_step_rejects_empty_batch():
