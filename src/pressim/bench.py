@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
+import math
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
@@ -40,14 +41,15 @@ from pressim.sim import (
 # -- metrics ----------------------------------------------------------------
 
 
-def average_travel_time(vehicles: Sequence[Vehicle], episode_length: float) -> float:
+def average_travel_time(vehicles: Sequence[Vehicle], end_s: float) -> float:
     """Mean time from entry to exit; unfinished vehicles are charged up to
-    the episode end. Zero vehicles give 0 (callers flag the run as empty)."""
+    ``end_s``, the clock the run stopped at. Zero vehicles give 0 (callers
+    flag the run as empty)."""
     if not vehicles:
         return 0.0
     total = 0.0
     for v in vehicles:
-        end = v.exit_time if v.exit_time is not None else episode_length
+        end = v.exit_time if v.exit_time is not None else end_s
         total += end - v.entry_time
     return total / len(vehicles)
 
@@ -79,7 +81,7 @@ def report_from_sim(
 ) -> RunReport:
     c = sim.state.counters
     vehicles = list(sim.state.vehicles.values())
-    att = average_travel_time(vehicles, sim.config.episode_length)
+    att = average_travel_time(vehicles, sim.state.clock)
     return RunReport(
         scenario=scenario,
         controller=controller,
@@ -152,9 +154,19 @@ class Peaked:
         _check_rates(self.base_rate, self.peak_rate)
         if self.peak_rate <= self.base_rate:
             raise ConfigurationError("peak_rate must exceed base_rate")
+        lo, hi = self.window
+        if not 0 <= lo < hi < math.inf:  # NaN fails it too
+            raise ConfigurationError("peak window needs 0 <= start < end, both finite")
 
 
 DemandProfile = Union[Uniform, Asymmetric, Peaked]
+
+
+def _check_horizon(profile: DemandProfile, horizon_s: float) -> None:
+    if not 0 < horizon_s < math.inf:  # NaN fails it too
+        raise ConfigurationError("demand horizon must be positive and finite")
+    if isinstance(profile, Peaked) and profile.window[1] > horizon_s:
+        raise ConfigurationError("peak window must fit inside the horizon")
 
 
 def _follow_through(net: RoadNetwork, next_by_turn: dict, road_id: str, first_turn: Turn):
@@ -196,13 +208,11 @@ def generate_synthetic_demand(
     straight. Headways are whole seconds (the realized rate is
     ``1/round(1/rate)``), so releases land on the one-second tick grid. The
     seed staggers each flow's first release within one headway so distinct
-    seeds give distinct (but statistically identical) traffic.
+    seeds give distinct (but statistically identical) traffic; a flow whose
+    first release falls past its end is left out, and the others keep their
+    draws.
     """
-    if isinstance(profile, Peaked):
-        lo, hi = profile.window
-        if not 0 <= lo < hi <= horizon_s:
-            raise ConfigurationError("peak window must fit inside the horizon")
-
+    _check_horizon(profile, horizon_s)
     rng = np.random.default_rng(seed)
     flows: list[FlowSpec] = []
     next_by_turn = {(a, t): b for (a, b), t in net.turn_between.items()}
@@ -242,7 +252,7 @@ def generate_synthetic_demand(
                         headway_s=peak_headway,
                     )
                 )
-    return flows
+    return [f for f in flows if f.start_s <= f.end_s]
 
 
 def parse_demand_spec(spec: str) -> DemandProfile:
@@ -276,6 +286,10 @@ class Scenario:
     sim: SimConfig = field(default_factory=SimConfig)
     flows: Optional[tuple[FlowSpec, ...]] = None  # fixed demand
     demand: Optional[DemandProfile] = None  # regenerated per seed
+
+    def __post_init__(self) -> None:
+        if self.demand is not None:
+            _check_horizon(self.demand, self.sim.episode_length)
 
     def flows_for_seed(self, seed: int) -> list[FlowSpec]:
         if self.flows is not None:

@@ -44,7 +44,7 @@ from pressim.network import (
     with_phase_scheme,
 )
 from pressim.pressure import RewardKind, StateKind
-from pressim.sim import ConfigurationError, SimConfig, load_flows, save_flows
+from pressim.sim import ConfigurationError, SimConfig, load_flows, save_flows, validate_flows
 
 ENV_PREFIX = "PRESSIM_"
 
@@ -111,15 +111,20 @@ def _load_net(args) -> RoadNetwork:
 
 
 def _scenarios(args) -> tuple[Scenario, ...]:
-    """One scenario per demand profile, or one over the flow file. A lone
-    scenario is named after the network file; several add their profile."""
+    """One scenario per demand profile, or one over the flow file, whose
+    routes must fit the network. A lone scenario is named after the network
+    file; several add their profile."""
     net = _load_net(args)
     sim = SimConfig(episode_length=args.episode_length)
     name = Path(args.network).stem
     if args.flows and args.demand:
         raise ConfigurationError("give either --flows or --demand, not both")
     if args.flows:
-        return (Scenario(id=name, net=net, sim=sim, flows=tuple(load_flows(args.flows))),)
+        flows = load_flows(args.flows)
+        problems = validate_flows(net, flows)
+        if problems:
+            raise ConfigurationError(f"{args.flows}: " + "; ".join(problems[:5]))
+        return (Scenario(id=name, net=net, sim=sim, flows=tuple(flows)),)
     if not args.demand:
         raise ConfigurationError("a scenario needs --flows or --demand")
     if len(set(args.demand)) < len(args.demand):

@@ -181,8 +181,6 @@ class MovementLanes:
     signalized: bool
     entering: tuple[str, ...]
     receiving_road: str
-    receiving_sink: bool  # the receiving road drains to a boundary
-    travel_time: float  # free-flow seconds along the receiving road
     paired: tuple[str, ...]
     readable: tuple[str, ...]
     n_exiting: int
@@ -274,8 +272,8 @@ class RoadNetwork:
             last = len(road.lanes) - 1
             paired = (road.lanes[min(self.lane_index[l][1].index, last)].id for l in m.entering)
             movements.append(MovementLanes(
-                m.id, m.signalized, m.entering, road.id, self.is_boundary(road.dst),
-                road.travel_time, read(paired), read(m.exiting), len(m.exiting),
+                m.id, m.signalized, m.entering, road.id, read(paired), read(m.exiting),
+                len(m.exiting),
             ))
         signalized = tuple(ml for ml in movements if ml.signalized)
         position = {ml.id: k for k, ml in enumerate(signalized)}

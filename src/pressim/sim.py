@@ -27,8 +27,10 @@ over these tables instead of the network's lookup dicts:
 - per intersection, the movements each phase serves and those a
   transition serves (the right turns), in movement order, because that
   order decides which movement wins a contested downstream lane;
-- per road, its hop: the fewest whole ticks whose total length reaches its
-  travel time less 1e-9 s.
+- one record per road (``_Road``): whether it drains to a boundary, the
+  capacity of its stop-line lanes, its travel time, and its hop: the fewest
+  whole ticks whose total length reaches its travel time less 1e-9 s. The
+  record also holds the road's transit deque and whether the road is held.
 
 Time is counted in whole ticks. The clock after tick n is ``n * tick``; a
 green's age and a transition's time left are tick counts; a vehicle that
@@ -49,12 +51,13 @@ The tick loop visits only what can change on the tick:
   then waits on the wait list of each movement entering such a lane, and
   a pop by that movement wakes it. A movement sharing a lane stays awake,
   since a co-movement's pop changes its heads partway through the pass;
-- a calendar maps a tick index to the roads whose head vehicle reaches
-  the stop line on that tick: the head's entry tick plus the road's hop. A
-  road enters it when its transit deque turns non-empty, and after a visit
-  that leaves a head not yet due. A road whose due head finds every
-  candidate lane full is held, waiting on the movements entering those
-  lanes, and woken for the tick after one pops;
+- a calendar maps a tick index to the road records whose head vehicle
+  reaches the stop line on that tick: the head's entry tick plus the road's
+  hop, and at least the next tick for a vehicle that a discharge puts on
+  the road. A road enters it when its transit deque turns non-empty, and
+  after a visit that leaves a head not yet due. A road whose due head finds
+  every candidate lane full is held, waiting on the movements entering
+  those lanes, and woken for the tick after one pops;
 - a release calendar maps a tick index to the flows releasing on it, each
   with the index of its release; a flow books its next after releasing;
 - a decision calendar maps a tick index to the intersections ``_poll``
@@ -65,12 +68,13 @@ The tick loop visits only what can change on the tick:
 
 Besides two integer counters (the tick index and the next vehicle id), the
 dynamic state lives in ``state`` and in the movement credits (``_credit``)
-alone. The live masks, the calendars, the held roads and the wait lists are
-views derived from those two, holding the state's own deques; ``step``
+alone. The road records, the live masks, the calendars and the wait lists
+are views derived from those two, holding the state's own deques; ``step``
 rebuilds them whenever ``state`` is another object than the one they were
-built from, with empty wait lists and every non-empty movement live. A
-shallow copy of a ``Simulation`` with ``state`` and ``_credit`` replaced by
-deep copies is therefore an independent fork; it shares the tables above.
+built from, with no road held, empty wait lists and every non-empty
+movement live. A shallow copy of a ``Simulation`` with ``state`` and
+``_credit`` replaced by deep copies is therefore an independent fork with
+road records of its own; it shares the other tables above.
 Editing ``state`` in place between steps is not supported, because the
 views would not see it.
 """
@@ -226,25 +230,33 @@ def _bit_positions(bits: int) -> tuple[int, ...]:
     return tuple(k for k in range(bits.bit_length()) if bits >> k & 1)
 
 
+# records are compared by identity: a wait list's ``in`` must not compare deques
+@dataclass(slots=True, eq=False)
+class _Road:
+    """A road bound to one ``SimState``: ``transit`` is the state's transit
+    deque of the road."""
+
+    id: str
+    sink: bool  # drains to a boundary
+    capacity: int  # of each stop-line lane
+    travel_time: float
+    hop: int  # ticks from entering the road to reaching its stop line
+    transit: Deque[tuple[float, int]]
+    held: bool = False  # its due head finds every candidate lane full
+
+
 @dataclass(slots=True)
 class _Move:
     """A movement bound to one ``SimState``: ``lanes`` are the state's
-    queues of its entering lanes and ``transit`` the state's transit deque
-    of its receiving road."""
+    queues of its entering lanes and ``road`` its receiving road."""
 
     id: str
     bit: int  # 1 << its position in the intersection's movements
     lanes: tuple[Deque[int], ...]
-    receiving_road: str
-    sink: bool  # the receiving road drains to a boundary
-    travel_time: float
-    capacity: int  # of each receiving lane
-    transit: Deque[tuple[float, int]]
-    road: int  # the receiving road's index
-    hop: int  # ticks from entering the receiving road to its calendar visit
+    road: _Road
     solo: bool  # no other movement enters its lanes
     # what a pop from its lanes wakes: (intersection position, bit) of a
-    # sleeping movement, or the index of a held road
+    # sleeping movement, or the record of a held road
     waiting: list = field(default_factory=list)
 
 
@@ -265,26 +277,10 @@ class Simulation:
         if problems:
             raise ConfigurationError("; ".join(problems))
 
-        capacity = {
-            r.id: config.lane_capacity
-            if config.lane_capacity is not None
-            else max(1, math.floor(r.length_m / 7.5))
-            for r in net.roads
-        }
-        # roads are numbered in network order: the calendar holds these indices
-        self._road_ids = [r.id for r in net.roads]
-        road_of = {rid: i for i, rid in enumerate(self._road_ids)}
-        tick = config.tick
-        # per road: whole ticks from a vehicle entering it to its stop line
-        hop = [_ticks_to(r.travel_time, tick) for r in net.roads]
-        # per road: (drains to a boundary, stop-line lane capacity, travel time, hop)
-        self._stop_line = [(net.terminal(r.id), capacity[r.id], r.travel_time, h)
-                           for r, h in zip(net.roads, hop)]
         self._intersection_ids = [i.id for i in net.intersections]
         self._n_phases = {i.id: len(i.phases) for i in net.intersections}
         # per intersection: the mask of movements each phase serves, the mask
-        # of those a transition serves, and per movement in movement order
-        # (movement, receiving lane capacity, receiving road, its hop)
+        # of those a transition serves, and its movements in movement order
         self._served: list[tuple[str, tuple[int, ...], int, tuple]] = []
         # lane -> (intersection position, mask of the movements it enters)
         joins: dict[str, dict[int, int]] = {}
@@ -296,20 +292,16 @@ class Simulation:
                 for p in inter.phases
             )
             in_transition = sum(1 << k for k, m in enumerate(movements) if not m.signalized)
-            statics = []
             for k, m in enumerate(movements):
-                road = road_of[m.receiving_road]
-                statics.append((m, capacity[m.receiving_road], road, max(1, hop[road])))
                 for lane in m.entering:
                     masks = joins.setdefault(lane, {})
                     masks[ii] = masks.get(ii, 0) | 1 << k
-            self._served.append((inter.id, by_phase, in_transition, tuple(statics)))
+            self._served.append((inter.id, by_phase, in_transition, movements))
         self._joins = {lane: tuple(masks.items()) for lane, masks in joins.items()}
         self._positions: dict[int, tuple[int, ...]] = {}  # bitmask -> _bit_positions(bitmask)
 
-        plans = {f.route: self._hop_plan(f.route) for f in self.flows}
-        # per flow: (entry road, hop plan, the flow)
-        self._entries = [(road_of[f.route[0]], plans[f.route], f) for f in self.flows]
+        self._plans = {f.route: self._hop_plan(f.route) for f in self.flows}
+        tick = config.tick
         self._episode_ticks = _ticks_to(config.episode_length, tick)
         # a transition's ticks of yellow, then of all-red: the all-red ends
         # on the first tick at or after yellow + all_red from its start
@@ -331,23 +323,32 @@ class Simulation:
 
     def _bind(self) -> None:
         """Rebuild the views of ``state`` and ``_credit`` the tick loop reads:
-        the roads' transit deques, per intersection its signal state and its
-        movements bound to their queues, the live masks, the calendars, and
-        no held road and empty wait lists."""
-        st = self.state
+        the road records, none held, per flow its entry road, per
+        intersection its signal state and its movements bound to their
+        queues, the live masks, the calendars, and empty wait lists."""
+        st, tick, cap = self.state, self.config.tick, self.config.lane_capacity
         queues, credit, joins = st.queues, self._credit, self._joins
-        self._transit = [st.transit[rid] for rid in self._road_ids]
+        # per road id, in network order: its record
+        self._roads = roads = {
+            r.id: _Road(
+                r.id, self.net.terminal(r.id),
+                cap if cap is not None else max(1, math.floor(r.length_m / 7.5)),
+                r.travel_time, _ticks_to(r.travel_time, tick), st.transit[r.id],
+            )
+            for r in self.net.roads
+        }
+        # per flow: (entry road, hop plan, the flow)
+        self._entries = [(roads[f.route[0]], self._plans[f.route], f) for f in self.flows]
         self._junctions = []
         self._live = []
         self._waiting = defaultdict(list)  # lane -> wait lists of the movements it enters
-        for ii, (iid, by_phase, in_transition, statics) in enumerate(self._served):
+        for ii, (iid, by_phase, in_transition, movements) in enumerate(self._served):
             moves = []
             live = 0
-            for k, (m, capacity, road, hop) in enumerate(statics):
+            for k, m in enumerate(movements):
                 mv = _Move(
-                    m.id, 1 << k, tuple(queues[l] for l in m.entering), m.receiving_road,
-                    m.receiving_sink, m.travel_time, capacity, self._transit[road], road,
-                    hop, all(joins[l] == ((ii, 1 << k),) for l in m.entering),
+                    m.id, 1 << k, tuple(queues[l] for l in m.entering), roads[m.receiving_road],
+                    all(joins[l] == ((ii, 1 << k),) for l in m.entering),
                 )
                 if any(mv.lanes) or credit[m.id] < 1.0:
                     live |= mv.bit
@@ -356,7 +357,6 @@ class Simulation:
                 moves.append(mv)
             self._junctions.append((st.signals[iid], by_phase, in_transition, tuple(moves)))
             self._live.append(live)
-        self._held = [False] * len(self._transit)
         # tick -> the intersections _poll checks; per intersection its last booked check
         self._signals = [st.signals[iid] for iid in self._intersection_ids]
         self._checks: defaultdict[int, list[int]] = defaultdict(list)
@@ -364,12 +364,11 @@ class Simulation:
         self._mapping: Optional[Mapping[str, Controller]] = None  # check all at the next poll
         # tick -> the roads its transit pass visits; the next pass is tick
         # n + 1's, and books each road visited again on its head's due tick
-        self._calendar: defaultdict[int, list[int]] = defaultdict(list)
+        self._calendar: defaultdict[int, list[_Road]] = defaultdict(list)
         n = self._ticks
-        self._calendar[n + 1] = [r for r, dq in enumerate(self._transit) if dq]
+        self._calendar[n + 1] = [road for road in roads.values() if road.transit]
         # tick -> (flow, index k) of the next release of each flow due on it
         self._releases: defaultdict[int, list[tuple[int, int]]] = defaultdict(list)
-        tick = self.config.tick
         for fi, f in enumerate(self.flows):
             # from an index no later than the first release after tick n: one
             # due by then lies a headway or more before its clock
@@ -460,26 +459,25 @@ class Simulation:
         if due is None:
             return
         st = self.state
-        now, counters, queues, transit = st.clock, st.counters, st.queues, self._transit
+        now, counters, queues = st.clock, st.counters, st.queues
         due.sort()  # flow order
         for fi, k in due:
             road, plan, flow = self._entries[fi]
-            _, capacity, travel_time, hop = self._stop_line[road]
             at = n
             while at == n:  # each release of the flow due on this tick, in order of k
                 counters.spawned += 1
                 lanes = plan[0]
                 lane = lanes[0] if len(lanes) == 1 else self._pick_lane(lanes)
-                if len(queues[lane]) >= capacity:
+                if len(queues[lane]) >= road.capacity:
                     counters.blocked += 1
                 else:
                     vid = self._next_vehicle_id
                     self._next_vehicle_id += 1
                     st.vehicles[vid] = Vehicle(vid, flow.route, 0, now, None, _IN_TRANSIT, plan)
-                    dq = transit[road]
+                    dq = road.transit
                     if not dq:  # this tick's transit pass runs after the releases
-                        self._calendar[n + hop].append(road)
-                    dq.append((now + travel_time, vid))
+                        self._calendar[n + road.hop].append(road)
+                    dq.append((now + road.travel_time, vid))
                 k += 1
                 at = self._release_tick(flow, k)
             if at is not None:
@@ -505,19 +503,17 @@ class Simulation:
         st = self.state
         clock = st.clock
         queues, vehicles = st.queues, st.vehicles
-        transit, stop_line, tick = self._transit, self._stop_line, self.config.tick
-        calendar, joins, live = self._calendar, self._joins, self._live
+        tick, calendar, joins, live = self.config.tick, self._calendar, self._joins, self._live
         joined = finished = 0
         # roads do not interact here: a road's vehicles join only its own lanes
-        for r in roads:
-            dq = transit[r]
-            terminal, capacity, travel_time, hop = stop_line[r]
+        for road in roads:
+            dq, travel_time, hop = road.transit, road.travel_time, road.hop
             # a head is due if it entered hop or more ticks ago: at or before
             # the arrival time of one entered just hop ticks ago, computed alike
             due = (n - hop) * tick + travel_time
             while dq and dq[0][0] <= due:
                 v = vehicles[dq[0][1]]
-                if terminal:
+                if road.sink:
                     dq.popleft()
                     v.status = _FINISHED
                     v.exit_time = clock
@@ -526,11 +522,11 @@ class Simulation:
                 lanes = v.plan[v.route_pos]
                 lane = lanes[0] if len(lanes) == 1 else self._pick_lane(lanes)
                 q = queues[lane]
-                if len(q) >= capacity:
+                if len(q) >= road.capacity:
                     # every candidate lane full: the road holds this and all
                     # behind it until one of them discharges
-                    self._held[r] = True
-                    self._put_on_wait_lists(lanes, r)
+                    road.held = True
+                    self._put_on_wait_lists(lanes, road)
                     break
                 dq.popleft()
                 if not q:  # a new head: the lane's movements may move it
@@ -542,7 +538,7 @@ class Simulation:
             else:
                 if dq:  # the next head is not yet due: book the tick it is,
                     # a hop after the tick whose clock it entered the road at
-                    calendar[round((dq[0][0] - travel_time) / tick) + hop].append(r)
+                    calendar[round((dq[0][0] - travel_time) / tick) + hop].append(road)
         st.total_queued += joined
         st.counters.finished += finished
 
@@ -584,7 +580,7 @@ class Simulation:
     def _discharge(self) -> None:
         st = self.state
         queues, vehicles = st.queues, st.vehicles
-        credit, live, held = self._credit, self._live, self._held
+        credit, live = self._credit, self._live
         calendar, n = self._calendar, self._ticks
         positions = self._positions
         gain = self._gain
@@ -612,18 +608,19 @@ class Simulation:
                     live[ii] ^= mv.bit
                     continue
                 c += gain
+                road = mv.road
                 while c >= ready:  # serve the first entering lane whose head can go
                     for q in mv.lanes:
                         if not q:
                             continue
                         v = vehicles[q[0]]
                         pos = v.route_pos + 1
-                        if v.route[pos] != mv.receiving_road:
+                        if v.route[pos] != road.id:
                             continue
-                        if not mv.sink:
+                        if not road.sink:
                             lanes = v.plan[pos]
                             target = lanes[0] if len(lanes) == 1 else self._pick_lane(lanes)
-                            if len(queues[target]) >= mv.capacity:
+                            if len(queues[target]) >= road.capacity:
                                 continue
                         break
                     else:  # no head can go
@@ -634,7 +631,7 @@ class Simulation:
                                 if q:
                                     v = vehicles[q[0]]
                                     pos = v.route_pos + 1
-                                    if v.route[pos] == mv.receiving_road:
+                                    if v.route[pos] == road.id:
                                         self._put_on_wait_lists(v.plan[pos], (ii, mv.bit))
                             live[ii] ^= mv.bit
                         break
@@ -642,16 +639,17 @@ class Simulation:
                     st.total_queued -= 1
                     v.route_pos = pos
                     v.status = _IN_TRANSIT
-                    if not mv.transit:
-                        calendar[n + mv.hop].append(mv.road)
-                    mv.transit.append((st.clock + mv.travel_time, v.id))
+                    dq = road.transit
+                    if not dq:  # this tick's transit pass has run: at least the next
+                        calendar[n + (road.hop or 1)].append(road)
+                    dq.append((st.clock + road.travel_time, v.id))
                     w = mv.waiting
                     if w:  # wake what waits on this pop
                         for e in w:
                             if e.__class__ is tuple:
                                 live[e[0]] |= e[1]
-                            elif held[e]:  # a held road: visit it next tick
-                                held[e] = False
+                            elif e.held:  # a held road: visit it next tick
+                                e.held = False
                                 calendar[n + 1].append(e)
                         w.clear()
                     c -= 1.0

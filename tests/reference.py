@@ -183,19 +183,17 @@ class AwakeSimulation(Simulation):
 
     def __init__(self, net, flows, config):
         super().__init__(net, flows, config)
-        road_of = {rid: i for i, rid in enumerate(self._road_ids)}
-        # per movement: the indices of the roads its entering lanes end
+        # per movement: the ids of the roads its entering lanes end, in network order
         self._upstream = {
-            m.id: {road_of[net.lane_index[lane][0].id] for lane in m.entering}
+            m.id: sorted({net.lane_index[lane][0].id for lane in m.entering})
             for lanes in net.lane_table.values()
             for m in lanes.movements
         }
 
     def _advance_transit(self) -> None:
         st, n, tick = self.state, self._ticks, self.config.tick
-        for r in self._calendar.pop(n, ()):
-            dq = self._transit[r]
-            terminal, capacity, travel_time, _ = self._stop_line[r]
+        for road in self._calendar.pop(n, ()):
+            dq, travel_time = road.transit, road.travel_time
             while dq:
                 # the head entered on the tick whose clock plus the travel
                 # time is its arrival
@@ -204,10 +202,10 @@ class AwakeSimulation(Simulation):
                     due = max(n + 1, entered + int(travel_time / tick) - 1)
                     while (due - entered) * tick < travel_time - _EPS:
                         due += 1
-                    self._calendar[due].append(r)
+                    self._calendar[due].append(road)
                     break
                 v = st.vehicles[dq[0][1]]
-                if terminal:
+                if road.sink:
                     dq.popleft()
                     v.status = VehicleStatus.FINISHED
                     v.exit_time = st.clock
@@ -215,8 +213,8 @@ class AwakeSimulation(Simulation):
                     continue
                 lanes = v.plan[v.route_pos]
                 lane = self._pick_lane(lanes)
-                if len(st.queues[lane]) >= capacity:
-                    self._held[r] = True
+                if len(st.queues[lane]) >= road.capacity:
+                    road.held = True
                     break
                 dq.popleft()
                 st.queues[lane].append(v.id)
@@ -234,6 +232,7 @@ class AwakeSimulation(Simulation):
                 if not live[ii] & served & mv.bit:
                     continue
                 c = credit[mv.id] + self._gain
+                road = mv.road
                 if not any(mv.lanes):
                     credit[mv.id] = min(c, 1.0)
                     if c >= 1.0:
@@ -245,9 +244,9 @@ class AwakeSimulation(Simulation):
                             continue
                         v = st.vehicles[q[0]]
                         pos = v.route_pos + 1
-                        if v.route[pos] != mv.receiving_road:
+                        if v.route[pos] != road.id:
                             continue
-                        if mv.sink or len(st.queues[self._pick_lane(v.plan[pos])]) < mv.capacity:
+                        if road.sink or len(st.queues[self._pick_lane(v.plan[pos])]) < road.capacity:
                             break
                     else:
                         break
@@ -255,13 +254,14 @@ class AwakeSimulation(Simulation):
                     st.total_queued -= 1
                     v.route_pos = pos
                     v.status = VehicleStatus.IN_TRANSIT
-                    if not mv.transit:
-                        self._calendar[n + mv.hop].append(mv.road)
-                    mv.transit.append((st.clock + mv.travel_time, v.id))
-                    for r in self._upstream[mv.id]:
-                        if self._held[r]:
-                            self._held[r] = False
-                            self._calendar[n + 1].append(r)
+                    if not road.transit:
+                        self._calendar[n + max(1, road.hop)].append(road)
+                    road.transit.append((st.clock + road.travel_time, v.id))
+                    for rid in self._upstream[mv.id]:
+                        upstream = self._roads[rid]
+                        if upstream.held:
+                            upstream.held = False
+                            self._calendar[n + 1].append(upstream)
                     c -= 1.0
                 credit[mv.id] = min(c, 1.0)
 

@@ -26,7 +26,15 @@ from pressim.bench import (
 )
 from pressim.control import ControllerConfig, FixedTimeController, make_controllers
 from pressim.network import PhaseScheme, Turn, build_grid
-from pressim.sim import ConfigurationError, FlowSpec, SimConfig, Simulation, Vehicle, VehicleStatus
+from pressim.sim import (
+    ConfigurationError,
+    FlowSpec,
+    SimConfig,
+    Simulation,
+    Vehicle,
+    VehicleStatus,
+    validate_flows,
+)
 
 
 def vehicle(vid, entry, exit=None):
@@ -81,6 +89,17 @@ def test_report_counter_identity():
     assert report.spawned > 0
     assert not report.empty
     assert report.decisions > 0
+
+
+def test_report_charges_unfinished_vehicles_up_to_the_last_tick():
+    """A run stops on the first tick at or after its episode length, so the
+    vehicle released on that tick is charged 0 s, not a negative time."""
+    net = build_grid(1, 1, 300.0, 300.0)  # 30 s roads: nobody finishes
+    flows = [FlowSpec(("boundary:W0__n0_0", "n0_0__boundary:E0"), 0.5, 10.5, 1.0)]
+    sim = run_episode(net, flows, SimConfig(episode_length=10.5), {})
+    report = report_from_sim(sim, "x", "none", 0)
+    assert report.unfinished == report.spawned == 11
+    assert report.average_travel_time == pytest.approx(5.0)
 
 
 def test_run_episode_hooks_called_once_per_distinct_controller():
@@ -174,6 +193,44 @@ def test_peaked_demand_adds_window_flows():
         # headway rounded to the whole-second release grid
         assert f.headway_s == round(1.0 / 0.15)
         assert 600.0 <= f.start_s < 600.0 + 1.0 + f.headway_s
+
+
+def test_sparse_demand_leaves_out_flows_that_release_nothing():
+    """At 0.01 vehicle/s a headway is 100 s, so many seeded first releases
+    land past a 50 s horizon. Those flows are left out, and the others keep
+    the offsets drawn for them."""
+    net = build_grid(1, 1, 300.0, 300.0)
+    kept = 0
+    for seed in range(3):
+        flows = generate_synthetic_demand(net, Uniform(0.01), seed, horizon_s=50.0)
+        assert validate_flows(net, flows) == []
+        full = generate_synthetic_demand(net, Uniform(0.01), seed, horizon_s=3600.0)
+        assert flows == [dataclasses.replace(f, end_s=50.0) for f in full if f.start_s <= 50.0]
+        kept += len(flows)
+    assert 0 < kept < 3 * len(full)
+
+
+@pytest.mark.parametrize(
+    "window",
+    [(500.0, 100.0), (100.0, 100.0), (-1.0, 100.0), (0.0, float("inf")), (float("nan"), 100.0)],
+)
+def test_peaked_window_must_run_forward_from_zero(window):
+    with pytest.raises(ConfigurationError):
+        Peaked(0.05, 0.1, window)
+
+
+@pytest.mark.parametrize("horizon", [float("nan"), float("inf"), 0.0, -5.0])
+def test_demand_horizon_must_be_positive_and_finite(horizon):
+    net = build_grid(1, 1, 300.0, 300.0)
+    with pytest.raises(ConfigurationError):
+        generate_synthetic_demand(net, Uniform(0.1), seed=0, horizon_s=horizon)
+
+
+def test_scenario_rejects_a_peak_window_past_its_episode():
+    net = build_grid(1, 1, 300.0, 300.0)
+    with pytest.raises(ConfigurationError, match="horizon"):
+        Scenario(id="p", net=net, sim=SimConfig(episode_length=600.0),
+                 demand=Peaked(0.05, 0.1, (3000.0, 5000.0)))
 
 
 def test_demand_headways_align_with_one_second_ticks():

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import pressim
+from pressim import bench
 from pressim.cli import build_parser, main
 from pressim.network import (
     PhaseScheme,
@@ -142,17 +143,44 @@ def test_run_phase_override(grid_file, flows_file, tmp_path):
     assert code == 0
 
 
-def test_cell_failure_exits_one(grid_file, tmp_path, capsys):
-    bad = tmp_path / "bad_flows.json"
-    save_flows(
-        [FlowSpec(route=("no_such_road", "n0_0__boundary:E0"),
-                  start_s=1.0, end_s=100.0, headway_s=5.0)],
-        bad,
-    )
-    code = main(["run", "--network", str(grid_file), "--flows", str(bad),
+def test_cell_failure_exits_one(grid_file, flows_file, monkeypatch, capsys):
+    def fail(*args):
+        raise RuntimeError("the episode broke")
+
+    monkeypatch.setattr(bench, "run_episode", fail)
+    code = main(["run", "--network", str(grid_file), "--flows", str(flows_file),
                  "--controller", "mp", "--seeds", "0"])
     assert code == 1
     assert "FAILED cell" in capsys.readouterr().err
+
+
+def test_sparse_demand_runs(grid_file):
+    """At 0.01 vehicle/s most seeded first releases land past a 50 s
+    episode; their flows are left out instead of failing the cell."""
+    assert main(["run", "--network", str(grid_file), "--demand", "uniform:0.01",
+                 "--episode-length", "50", "--seeds", "0,1,2"]) == 0
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--demand", "peaked:0.05,0.1,500-100"],
+     ["--demand", "peaked:0.05,0.1,3000-5000", "--episode-length", "600"]],
+    ids=["reversed-window", "window-past-episode"],
+)
+def test_unworkable_demand_exits_two(flags, grid_file, capsys):
+    code = main(["run", "--network", str(grid_file), *flags, "--seeds", "0"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("horizon", ["nan", "inf", "0", "-5"])
+def test_gen_demand_rejects_a_bad_horizon(horizon, grid_file, tmp_path):
+    out = tmp_path / "flows.json"
+    code = main(["gen-demand", "--network", str(grid_file), "--profile", "uniform:0.1",
+                 "--horizon", horizon, "--out", str(out)])
+    assert code == 2
+    assert not out.exists()
 
 
 def test_bad_flag_value_exits_two(grid_file, flows_file):
@@ -205,6 +233,10 @@ def _drop_phase_scheme(path):
     path.write_text(json.dumps(doc))
 
 
+def _route_flow(path, route):
+    save_flows([FlowSpec(route, start_s=1.0, end_s=100.0, headway_s=5.0)], path)
+
+
 def _add_unused_road(path):
     doc = json.loads(path.read_text())
     doc["roads"].append({**doc["roads"][0], "id": "boundary:X__n0_0", "from": "boundary:X"})
@@ -213,12 +245,17 @@ def _add_unused_road(path):
 
 @pytest.mark.parametrize(
     "case",
-    ["flow-without-start", "network-without-phase-scheme", "network-not-json",
-     "network-missing", "network-with-unused-road"],
+    ["flow-without-start", "flow-with-unknown-road", "flow-with-unlinked-roads",
+     "network-without-phase-scheme", "network-not-json", "network-missing",
+     "network-with-unused-road"],
 )
 def test_malformed_input_exits_two(case, grid_file, flows_file, capsys):
     if case == "flow-without-start":
         _drop_start(flows_file)
+    elif case == "flow-with-unknown-road":
+        _route_flow(flows_file, ("no_such_road", "n0_0__boundary:E0"))
+    elif case == "flow-with-unlinked-roads":  # a U-turn, which no movement makes
+        _route_flow(flows_file, ("boundary:W0__n0_0", "n0_0__boundary:W0"))
     elif case == "network-without-phase-scheme":
         _drop_phase_scheme(grid_file)
     elif case == "network-with-unused-road":

@@ -689,17 +689,17 @@ def test_sleepers_wait_on_every_lane_their_heads_need():
                     continue
                 for q in filter(None, mv.lanes):
                     v = vehicles[q[0]]
-                    if v.route[v.route_pos + 1] == mv.receiving_road:
+                    if v.route[v.route_pos + 1] == mv.road.id:
                         lanes = v.plan[v.route_pos + 1]
                         two_lane_waits += len(lanes) > 1
                         for lane in lanes:
                             assert all((ii, mv.bit) in w for w in sim._waiting[lane])
-        for r, dq in enumerate(sim._transit):
-            if sim._held[r]:
+        for road in sim._roads.values():
+            if road.held:
                 holds += 1
-                v = vehicles[dq[0][1]]
+                v = vehicles[road.transit[0][1]]
                 for lane in v.plan[v.route_pos]:
-                    assert all(r in w for w in sim._waiting[lane])
+                    assert all(road in w for w in sim._waiting[lane])
     assert two_lane_waits > 0 and holds > 0
 
 
