@@ -18,7 +18,6 @@ import csv
 import dataclasses
 import io
 import math
-import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -56,6 +55,8 @@ def average_travel_time(vehicles: Sequence[Vehicle], end_s: float) -> float:
 
 @dataclass(frozen=True)
 class RunReport:
+    """One episode's row of ``detail.csv``: its fields are the columns."""
+
     scenario: str
     controller: str
     seed: int
@@ -68,7 +69,6 @@ class RunReport:
     spawned: int
     unfinished: int
     empty: bool
-    wall_time: float
 
 
 def report_from_sim(
@@ -77,7 +77,6 @@ def report_from_sim(
     controller: str,
     seed: int,
     episode: int = 0,
-    wall_time: float = 0.0,
 ) -> RunReport:
     c = sim.state.counters
     vehicles = list(sim.state.vehicles.values())
@@ -95,7 +94,6 @@ def report_from_sim(
         spawned=c.spawned,
         unfinished=c.spawned - c.blocked - c.finished,
         empty=not vehicles,
-        wall_time=wall_time,
     )
 
 
@@ -379,10 +377,14 @@ class CellFailure:
     error: str
 
 
+# (scenario, controller, seed, value); None for a cell without vehicles
+Cell = tuple[str, str, int, Optional[float]]
+
+
 @dataclass
 class ExperimentResult:
     reports: list[RunReport]
-    cells: list[tuple[str, str, int, float]]  # (scenario, controller, seed, value)
+    cells: list[Cell]
     failures: list[CellFailure]
     detail_path: Optional[Path] = None
     summary_path: Optional[Path] = None
@@ -409,9 +411,9 @@ def _apply_sweep(
 def _run_cell(
     args: tuple[Scenario, ControllerSpec, int, str, Optional[str]],
 ) -> tuple[list[RunReport], Optional[str], Optional[float]]:
-    """Execute one cell; returns (episode reports, error, cell value)."""
+    """Execute one cell; returns (episode reports, error, cell value). A
+    cell whose every episode had no vehicles has no value."""
     scenario, spec, seed, label, out_dir = args
-    started = time.perf_counter()
     try:
         flows = scenario.flows_for_seed(seed)
         if spec.name == "rl":
@@ -425,26 +427,20 @@ def _run_cell(
                 sim_config=scenario.sim,
                 t_duration=spec.control.t_duration,
             )
-            wall = time.perf_counter() - started
             reports = [
-                dataclasses.replace(
-                    r,
-                    scenario=label,
-                    controller=spec.display,
-                    seed=seed,
-                    wall_time=wall if r.episode == len(episodes) - 1 else 0.0,
-                )
+                dataclasses.replace(r, scenario=label, controller=spec.display, seed=seed)
                 for r in episodes
             ]
             if out_dir is not None:
                 stem = f"params_{label}_{spec.display}_seed{seed}.json".replace("/", "-")
                 save_parameters(agent, Path(out_dir) / stem)
-            return reports, None, evaluation_travel_time(reports, learner.eval_episodes)
-        controllers = make_controllers(scenario.net, spec.name, spec.control)
-        sim = run_episode(scenario.net, flows, scenario.sim, controllers)
-        wall = time.perf_counter() - started
-        report = report_from_sim(sim, label, spec.display, seed, wall_time=wall)
-        return [report], None, round(report.average_travel_time, 6)
+            value = evaluation_travel_time(reports, learner.eval_episodes)
+        else:
+            controllers = make_controllers(scenario.net, spec.name, spec.control)
+            sim = run_episode(scenario.net, flows, scenario.sim, controllers)
+            reports = [report_from_sim(sim, label, spec.display, seed)]
+            value = round(reports[0].average_travel_time, 6)
+        return reports, None, None if all(r.empty for r in reports) else value
     except Exception:
         return [], traceback.format_exc(limit=10), None
 
@@ -499,20 +495,14 @@ def _write_failures(failures: list[CellFailure], path: Path) -> None:
 
 # -- CSV artifacts ----------------------------------------------------------
 
-DETAIL_COLUMNS = (
-    "scenario",
-    "controller",
-    "seed",
-    "episode",
-    "average_travel_time",
-    "throughput",
-    "max_total_queue",
-    "blocked_spawns",
-    "decisions",
-    "spawned",
-    "unfinished",
-    "empty",
-)
+DETAIL_COLUMNS = tuple(f.name for f in dataclasses.fields(RunReport))
+
+
+def _csv_value(value: object) -> object:
+    """A flag as 0 or 1, a float to 6 places, the rest as it is."""
+    if isinstance(value, bool):
+        return int(value)
+    return f"{value:.6f}" if isinstance(value, float) else value
 
 
 def write_detail_csv(reports: Sequence[RunReport], path: str | Path) -> None:
@@ -520,29 +510,14 @@ def write_detail_csv(reports: Sequence[RunReport], path: str | Path) -> None:
         w = csv.writer(fh)
         w.writerow(DETAIL_COLUMNS)
         for r in reports:
-            w.writerow(
-                (
-                    r.scenario,
-                    r.controller,
-                    r.seed,
-                    r.episode,
-                    f"{r.average_travel_time:.6f}",
-                    r.throughput,
-                    r.max_total_queue,
-                    r.blocked_spawns,
-                    r.decisions,
-                    r.spawned,
-                    r.unfinished,
-                    int(r.empty),
-                )
-            )
+            w.writerow([_csv_value(getattr(r, c)) for c in DETAIL_COLUMNS])
 
 
 BASELINE = "mp"
 
 
 def _summary_table(
-    cells: Sequence[tuple[str, str, int, float]],
+    cells: Sequence[Cell],
 ) -> tuple[list[str], list[str], dict[tuple[str, str], float]]:
     scenarios = sorted({c[0] for c in cells})
     controllers = sorted({c[1] for c in cells})
@@ -551,7 +526,8 @@ def _summary_table(
         controllers = [BASELINE] + [c for c in controllers if c != BASELINE]
     grouped: dict[tuple[str, str], list[float]] = {}
     for scenario, controller, _, value in cells:
-        grouped.setdefault((controller, scenario), []).append(value)
+        if value is not None:  # a cell without vehicles has no travel time
+            grouped.setdefault((controller, scenario), []).append(value)
     means = {k: float(np.mean(v)) for k, v in grouped.items()}
     return scenarios, controllers, means
 
@@ -563,7 +539,7 @@ def _format_cell(mean: float, base: Optional[float]) -> str:
     return f"{mean:.6f} ({pct:+.2f}%)"
 
 
-def summary_rows(cells: Sequence[tuple[str, str, int, float]]) -> list[list[str]]:
+def summary_rows(cells: Sequence[Cell]) -> list[list[str]]:
     """Pivot: one row per controller, one column per scenario; every entry
     is the seed-averaged travel time, others annotated with the percent
     delta against the max-pressure row."""
@@ -586,12 +562,12 @@ def summary_rows(cells: Sequence[tuple[str, str, int, float]]) -> list[list[str]
     return rows
 
 
-def write_summary_csv(cells: Sequence[tuple[str, str, int, float]], path: str | Path) -> None:
+def write_summary_csv(cells: Sequence[Cell], path: str | Path) -> None:
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerows(summary_rows(cells))
 
 
-def format_summary(cells: Sequence[tuple[str, str, int, float]]) -> str:
+def format_summary(cells: Sequence[Cell]) -> str:
     """Fixed-width console rendering of the summary pivot."""
     rows = summary_rows(cells)
     if len(rows) <= 1:

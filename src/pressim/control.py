@@ -10,7 +10,7 @@ some phase runs regardless, so pick the least bad.
 
 The controller reads its scores through ``pressure.phase_scores``, which
 returns phase i's score at position i; phase ids are their positions, as
-the engine assumes too.
+the engine assumes too and ``network.validate`` checks.
 """
 
 from __future__ import annotations
@@ -43,9 +43,8 @@ def _argmax_lowest(values: Sequence[float]) -> int:
 
 
 def fixed_time_decide(current_phase: int, phases: Sequence[Phase]) -> int:
-    """Next phase in cyclic order."""
-    ids = [p.id for p in phases]
-    return ids[(ids.index(current_phase) + 1) % len(ids)]
+    """Next phase in cyclic order; phase ids are their positions."""
+    return (current_phase + 1) % len(phases)
 
 
 class Controller:

@@ -171,15 +171,18 @@ def phase_table(scheme: PhaseScheme) -> tuple[tuple[tuple[Compass, Turn], tuple[
 
 @dataclass(frozen=True, slots=True)
 class MovementLanes:
-    """One movement resolved against the roads. ``paired`` holds the
-    downstream lane paired with each entering lane (same index on the
-    receiving road, clamped to its lane count) and ``readable`` the exiting
-    lanes, both without lanes of roads that drain to a boundary, which read
-    0; ``n_exiting`` counts every exiting lane."""
+    """One movement resolved against the roads: ``source_road`` is the road
+    of its first entering lane and ``receiving_road`` that of its first
+    exiting lane, which ``validate`` checks every lane lies on. ``paired``
+    holds the downstream lane paired with each entering lane (same index on
+    the receiving road, clamped to its lane count) and ``readable`` the
+    exiting lanes, both without lanes of roads that drain to a boundary,
+    which read 0; ``n_exiting`` counts every exiting lane."""
 
     id: str
     signalized: bool
     entering: tuple[str, ...]
+    source_road: str
     receiving_road: str
     paired: tuple[str, ...]
     readable: tuple[str, ...]
@@ -213,9 +216,8 @@ class RoadNetwork:
 
     Besides the raw intersections/roads it exposes derived lookup tables:
     ``lane_index`` maps lane id to (road, lane), ``turn_between`` maps
-    connected road pairs to the turn linking them, ``lanes_by_turn`` maps
-    (road, turn) to the lanes designated for that turn, and ``lane_table``
-    maps intersection id to its resolved movements.
+    connected road pairs to the turn linking them, and ``lane_table`` maps
+    intersection id to its resolved movements.
     """
 
     def __init__(
@@ -249,13 +251,6 @@ class RoadNetwork:
                 if entry and exit_:
                     self.turn_between[(entry[0].id, exit_[0].id)] = m.turn
 
-        self.lanes_by_turn: dict[tuple[str, Turn], tuple[str, ...]] = {}
-        for road in self.roads:
-            for turn in Turn:
-                self.lanes_by_turn[(road.id, turn)] = tuple(
-                    l.id for l in road.lanes if turn in l.designation
-                )
-
     @functools.cached_property
     def lane_table(self) -> dict[str, IntersectionLanes]:
         """Built at first use, so that a malformed network still constructs
@@ -272,8 +267,8 @@ class RoadNetwork:
             last = len(road.lanes) - 1
             paired = (road.lanes[min(self.lane_index[l][1].index, last)].id for l in m.entering)
             movements.append(MovementLanes(
-                m.id, m.signalized, m.entering, road.id, read(paired), read(m.exiting),
-                len(m.exiting),
+                m.id, m.signalized, m.entering, self.lane_index[m.entering[0]][0].id, road.id,
+                read(paired), read(m.exiting), len(m.exiting),
             ))
         signalized = tuple(ml for ml in movements if ml.signalized)
         position = {ml.id: k for k, ml in enumerate(signalized)}
@@ -363,6 +358,13 @@ def validate(net: RoadNetwork) -> list[Violation]:
             unknown = [l for l in (*m.entering, *m.exiting) if l not in net.lane_index]
             if unknown:
                 out.append(Violation(m.id, f"unknown lanes {unknown}"))
+            # the engine moves a movement's vehicles from one road to one road
+            sources = {net.lane_index[l][0] for l in m.entering if l in net.lane_index}
+            if len(sources) > 1 or any(r.dst != inter.id for r in sources):
+                out.append(Violation(m.id, "entering lanes not on one road ending here"))
+            targets = {net.lane_index[l][0] for l in m.exiting if l in net.lane_index}
+            if len(targets) > 1 or any(r.src != inter.id for r in targets):
+                out.append(Violation(m.id, "exiting lanes not on one road starting here"))
             for lane_id in m.entering:
                 if lane_id in unknown:
                     continue
@@ -375,7 +377,9 @@ def validate(net: RoadNetwork) -> list[Violation]:
                 out.append(Violation(m.id, "signalized movement in no phase"))
             if not m.signalized and m.id in phase_member_ids:
                 out.append(Violation(m.id, "right-turn movement appears in a phase"))
-        for phase in inter.phases:
+        for k, phase in enumerate(inter.phases):
+            if phase.id != k:  # the engine and controllers index phases by position
+                out.append(Violation(f"{inter.id}/phase{phase.id}", f"id is not its position {k}"))
             if len(phase.movements) != 2:
                 out.append(
                     Violation(f"{inter.id}/phase{phase.id}", "phase must pair two movements")

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import json
 import math
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
@@ -479,7 +478,6 @@ def train(
         agent.epsilon = epsilon_for_episode(config, episode)
         if config.greedy_eval and episode >= config.episodes - config.eval_episodes:
             agent.epsilon = 0.0
-        started = time.perf_counter()
         try:
             sim = run_episode(net, flows, sim_config, controllers)
         except TrainingDiverged as exc:
@@ -491,7 +489,6 @@ def train(
                 controller="rl",
                 seed=config.seed,
                 episode=episode,
-                wall_time=time.perf_counter() - started,
             )
         )
     return agent, reports

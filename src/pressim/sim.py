@@ -21,16 +21,18 @@ Everything static is resolved once per ``Simulation``, from the network's
 ``lane_table`` and the configured lane capacities, and the tick loop runs
 over these tables instead of the network's lookup dicts:
 
-- a hop plan per flow: for each route position, the stop-line lanes
-  designated for the vehicle's next turn (``None`` on the last road, which
-  drains to a boundary). Every vehicle points at its flow's plan;
+- a hop plan per flow: for each route position, the stop-line lanes that
+  the movement onto the vehicle's next road enters (``None`` on the last
+  road, which drains to a boundary). Every vehicle points at its flow's plan;
 - per intersection, the movements each phase serves and those a
   transition serves (the right turns), in movement order, because that
   order decides which movement wins a contested downstream lane;
 - one record per road (``_Road``): whether it drains to a boundary, the
-  capacity of its stop-line lanes, its travel time, and its hop: the fewest
-  whole ticks whose total length reaches its travel time less 1e-9 s. The
-  record also holds the road's transit deque and whether the road is held.
+  capacity of its stop-line lanes, its travel time, its hop (the fewest
+  whole ticks whose total length reaches its travel time less 1e-9 s), the
+  position of the intersection it enters and the mask of the movements
+  there that its lanes enter. The record also holds the road's transit
+  deque, whether the road is held, and its wait list.
 
 Time is counted in whole ticks. The clock after tick n is ``n * tick``; a
 green's age and a transition's time left are tick counts; a vehicle that
@@ -47,17 +49,21 @@ The tick loop visits only what can change on the tick:
   a movement to sleep when a further visit could change nothing: when its
   entering lanes are empty, until a vehicle joins an empty one; or, if it
   is solo (no other movement enters its lanes), when no head can go, until
-  a vehicle joins an empty lane or pops from a lane some head needs. It
-  then waits on the wait list of each movement entering such a lane, and
-  a pop by that movement wakes it. A movement sharing a lane stays awake,
-  since a co-movement's pop changes its heads partway through the pass;
+  a vehicle joins an empty lane or pops from a stop-line lane of its
+  receiving road. It then waits on that road's wait list, which a pop from
+  any of the road's stop-line lanes wakes. A vehicle joining an empty lane
+  wakes every movement its road's lanes enter. Both wake more than can
+  move; a woken movement that still cannot move sleeps again, changing
+  nothing. A movement sharing a lane stays awake, since a co-movement's
+  pop changes its heads partway through the pass;
 - a calendar maps a tick index to the road records whose head vehicle
   reaches the stop line on that tick: the head's entry tick plus the road's
   hop, and at least the next tick for a vehicle that a discharge puts on
   the road. A road enters it when its transit deque turns non-empty, and
   after a visit that leaves a head not yet due. A road whose due head finds
-  every candidate lane full is held, waiting on the movements entering
-  those lanes, and woken for the tick after one pops;
+  every candidate lane full is held, and a pop from any of its stop-line
+  lanes books it for the next tick, where a head that still finds its
+  lanes full holds it again;
 - a release calendar maps a tick index to the flows releasing on it, each
   with the index of its release; a flow books its next after releasing;
 - a decision calendar maps a tick index to the intersections ``_poll``
@@ -68,11 +74,11 @@ The tick loop visits only what can change on the tick:
 
 Besides two integer counters (the tick index and the next vehicle id), the
 dynamic state lives in ``state`` and in the movement credits (``_credit``)
-alone. The road records, the live masks, the calendars and the wait lists
-are views derived from those two, holding the state's own deques; ``step``
-rebuilds them whenever ``state`` is another object than the one they were
-built from, with no road held, empty wait lists and every non-empty
-movement live. A shallow copy of a ``Simulation`` with ``state`` and
+alone. The road records with their wait lists, the live masks and the
+calendars are views derived from those two, holding the state's own
+deques; ``step`` rebuilds them whenever ``state`` is another object than
+the one they were built from, with no road held, empty wait lists and
+every non-empty movement live. A shallow copy of a ``Simulation`` with ``state`` and
 ``_credit`` replaced by deep copies is therefore an independent fork with
 road records of its own; it shares the other tables above.
 Editing ``state`` in place between steps is not supported, because the
@@ -84,7 +90,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from collections import defaultdict, deque
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -230,7 +236,7 @@ def _bit_positions(bits: int) -> tuple[int, ...]:
     return tuple(k for k in range(bits.bit_length()) if bits >> k & 1)
 
 
-# records are compared by identity: a wait list's ``in`` must not compare deques
+# records are compared by identity, never field by field through their deques
 @dataclass(slots=True, eq=False)
 class _Road:
     """A road bound to one ``SimState``: ``transit`` is the state's transit
@@ -242,22 +248,27 @@ class _Road:
     travel_time: float
     hop: int  # ticks from entering the road to reaching its stop line
     transit: Deque[tuple[float, int]]
+    junction: int  # position of the intersection it enters; -1 for a sink
+    feeds: int = 0  # mask of the movements there that its lanes enter
+    # what a pop from any of its stop-line lanes wakes: (intersection
+    # position, bit) of each solo movement asleep with this as its
+    # receiving road; the pop wakes the road itself too while it is held
+    waiting: list[tuple[int, int]] = field(default_factory=list)
     held: bool = False  # its due head finds every candidate lane full
 
 
 @dataclass(slots=True)
 class _Move:
     """A movement bound to one ``SimState``: ``lanes`` are the state's
-    queues of its entering lanes and ``road`` its receiving road."""
+    queues of its entering lanes, ``source`` the road they lie on and
+    ``road`` its receiving road."""
 
     id: str
     bit: int  # 1 << its position in the intersection's movements
     lanes: tuple[Deque[int], ...]
+    source: _Road
     road: _Road
     solo: bool  # no other movement enters its lanes
-    # what a pop from its lanes wakes: (intersection position, bit) of a
-    # sleeping movement, or the record of a held road
-    waiting: list = field(default_factory=list)
 
 
 class Simulation:
@@ -282,9 +293,7 @@ class Simulation:
         # per intersection: the mask of movements each phase serves, the mask
         # of those a transition serves, and its movements in movement order
         self._served: list[tuple[str, tuple[int, ...], int, tuple]] = []
-        # lane -> (intersection position, mask of the movements it enters)
-        joins: dict[str, dict[int, int]] = {}
-        for ii, inter in enumerate(net.intersections):
+        for inter in net.intersections:
             movements = net.lane_table[inter.id].movements
             by_phase = tuple(
                 sum(1 << k for k, m in enumerate(movements)
@@ -292,15 +301,20 @@ class Simulation:
                 for p in inter.phases
             )
             in_transition = sum(1 << k for k, m in enumerate(movements) if not m.signalized)
-            for k, m in enumerate(movements):
-                for lane in m.entering:
-                    masks = joins.setdefault(lane, {})
-                    masks[ii] = masks.get(ii, 0) | 1 << k
             self._served.append((inter.id, by_phase, in_transition, movements))
-        self._joins = {lane: tuple(masks.items()) for lane, masks in joins.items()}
         self._positions: dict[int, tuple[int, ...]] = {}  # bitmask -> _bit_positions(bitmask)
 
-        self._plans = {f.route: self._hop_plan(f.route) for f in self.flows}
+        # per flow route its hop plan, each hop the entering lanes of the
+        # movement linking the two roads
+        links = {
+            (m.source_road, m.receiving_road): m.entering
+            for lanes in net.lane_table.values()
+            for m in lanes.movements
+        }
+        self._plans = {
+            f.route: (*(links[hop] for hop in zip(f.route, f.route[1:])), None)
+            for f in self.flows
+        }
         tick = config.tick
         self._episode_ticks = _ticks_to(config.episode_length, tick)
         # a transition's ticks of yellow, then of all-red: the all-red ends
@@ -323,17 +337,19 @@ class Simulation:
 
     def _bind(self) -> None:
         """Rebuild the views of ``state`` and ``_credit`` the tick loop reads:
-        the road records, none held, per flow its entry road, per
-        intersection its signal state and its movements bound to their
-        queues, the live masks, the calendars, and empty wait lists."""
+        the road records, none held and with empty wait lists, per flow its
+        entry road, per intersection its signal state and its movements bound
+        to their queues, the live masks and the calendars."""
         st, tick, cap = self.state, self.config.tick, self.config.lane_capacity
-        queues, credit, joins = st.queues, self._credit, self._joins
+        queues, credit = st.queues, self._credit
+        junction = {iid: ii for ii, iid in enumerate(self._intersection_ids)}
         # per road id, in network order: its record
         self._roads = roads = {
             r.id: _Road(
                 r.id, self.net.terminal(r.id),
                 cap if cap is not None else max(1, math.floor(r.length_m / 7.5)),
                 r.travel_time, _ticks_to(r.travel_time, tick), st.transit[r.id],
+                junction.get(r.dst, -1),
             )
             for r in self.net.roads
         }
@@ -341,19 +357,19 @@ class Simulation:
         self._entries = [(roads[f.route[0]], self._plans[f.route], f) for f in self.flows]
         self._junctions = []
         self._live = []
-        self._waiting = defaultdict(list)  # lane -> wait lists of the movements it enters
-        for ii, (iid, by_phase, in_transition, movements) in enumerate(self._served):
+        for iid, by_phase, in_transition, movements in self._served:
+            entered = Counter(l for m in movements for l in m.entering)
             moves = []
             live = 0
             for k, m in enumerate(movements):
                 mv = _Move(
-                    m.id, 1 << k, tuple(queues[l] for l in m.entering), roads[m.receiving_road],
-                    all(joins[l] == ((ii, 1 << k),) for l in m.entering),
+                    m.id, 1 << k, tuple(queues[l] for l in m.entering),
+                    roads[m.source_road], roads[m.receiving_road],
+                    all(entered[l] == 1 for l in m.entering),
                 )
+                mv.source.feeds |= mv.bit
                 if any(mv.lanes) or credit[m.id] < 1.0:
                     live |= mv.bit
-                for l in m.entering:
-                    self._waiting[l].append(mv.waiting)
                 moves.append(mv)
             self._junctions.append((st.signals[iid], by_phase, in_transition, tuple(moves)))
             self._live.append(live)
@@ -378,14 +394,6 @@ class Simulation:
             if at is not None:
                 self._releases[at].append((fi, k))
         self._bound = st
-
-    def _hop_plan(self, route: tuple[str, ...]) -> tuple[Optional[tuple[str, ...]], ...]:
-        net = self.net
-        hops = [
-            net.lanes_by_turn[(road, net.turn_between[(road, nxt)])]
-            for road, nxt in zip(route, route[1:])
-        ]
-        return (*hops, None)
 
     # -- tick ---------------------------------------------------------------
 
@@ -503,7 +511,7 @@ class Simulation:
         st = self.state
         clock = st.clock
         queues, vehicles = st.queues, st.vehicles
-        tick, calendar, joins, live = self.config.tick, self._calendar, self._joins, self._live
+        tick, calendar, live = self.config.tick, self._calendar, self._live
         joined = finished = 0
         # roads do not interact here: a road's vehicles join only its own lanes
         for road in roads:
@@ -524,14 +532,12 @@ class Simulation:
                 q = queues[lane]
                 if len(q) >= road.capacity:
                     # every candidate lane full: the road holds this and all
-                    # behind it until one of them discharges
+                    # behind it until one of its stop-line lanes pops
                     road.held = True
-                    self._put_on_wait_lists(lanes, road)
                     break
                 dq.popleft()
-                if not q:  # a new head: the lane's movements may move it
-                    for ii, bits in joins[lane]:
-                        live[ii] |= bits
+                if not q:  # a new head: the road's movements may move it
+                    live[road.junction] |= road.feeds
                 q.append(v.id)
                 joined += 1
                 v.status = _QUEUED
@@ -625,14 +631,10 @@ class Simulation:
                         break
                     else:  # no head can go
                         if c >= 1.0 and mv.solo:
-                            # nor can one until a lane a head needs pops or
-                            # a vehicle joins an empty entering lane
-                            for q in mv.lanes:
-                                if q:
-                                    v = vehicles[q[0]]
-                                    pos = v.route_pos + 1
-                                    if v.route[pos] == road.id:
-                                        self._put_on_wait_lists(v.plan[pos], (ii, mv.bit))
+                            # nor can one until a stop-line lane of its
+                            # receiving road pops or a vehicle joins an
+                            # empty entering lane
+                            road.waiting.append((ii, mv.bit))
                             live[ii] ^= mv.bit
                         break
                     q.popleft()
@@ -643,23 +645,18 @@ class Simulation:
                     if not dq:  # this tick's transit pass has run: at least the next
                         calendar[n + (road.hop or 1)].append(road)
                     dq.append((st.clock + road.travel_time, v.id))
-                    w = mv.waiting
-                    if w:  # wake what waits on this pop
-                        for e in w:
-                            if e.__class__ is tuple:
-                                live[e[0]] |= e[1]
-                            elif e.held:  # a held road: visit it next tick
-                                e.held = False
-                                calendar[n + 1].append(e)
+                    # wake what waits on a pop from this road
+                    source = mv.source
+                    w = source.waiting
+                    if w:
+                        for at, bit in w:
+                            live[at] |= bit
                         w.clear()
+                    if source.held:  # visit it next tick
+                        source.held = False
+                        calendar[n + 1].append(source)
                     c -= 1.0
                 credit[mv.id] = c if c < 1.0 else 1.0
-
-    def _put_on_wait_lists(self, lanes: tuple[str, ...], entry) -> None:
-        """Put ``entry`` on the wait list of each movement entering ``lanes``."""
-        for lane in lanes:
-            for w in self._waiting[lane]:
-                w.append(entry)
 
     # -- inspection ---------------------------------------------------------
 

@@ -176,19 +176,10 @@ class ScanSimulation(Simulation):
 class AwakeSimulation(Simulation):
     """The engine without wait lists: every served live movement is visited
     on every tick, a movement sleeps only once its entering lanes are empty
-    and its credit full, every join wakes the joined lane's movements, and
+    and its credit full, every join wakes the joined road's movements, and
     a held road wakes on any pop from one of its stop-line lanes. A head is
     due once the ticks since it entered the road, in seconds, reach the
     travel time less 1e-9 s."""
-
-    def __init__(self, net, flows, config):
-        super().__init__(net, flows, config)
-        # per movement: the ids of the roads its entering lanes end, in network order
-        self._upstream = {
-            m.id: sorted({net.lane_index[lane][0].id for lane in m.entering})
-            for lanes in net.lane_table.values()
-            for m in lanes.movements
-        }
 
     def _advance_transit(self) -> None:
         st, n, tick = self.state, self._ticks, self.config.tick
@@ -220,8 +211,7 @@ class AwakeSimulation(Simulation):
                 st.queues[lane].append(v.id)
                 st.total_queued += 1
                 v.status = VehicleStatus.QUEUED
-                for ii, bits in self._joins[lane]:
-                    self._live[ii] |= bits
+                self._live[road.junction] |= road.feeds
 
     def _discharge(self) -> None:
         st = self.state
@@ -257,11 +247,9 @@ class AwakeSimulation(Simulation):
                     if not road.transit:
                         self._calendar[n + max(1, road.hop)].append(road)
                     road.transit.append((st.clock + road.travel_time, v.id))
-                    for rid in self._upstream[mv.id]:
-                        upstream = self._roads[rid]
-                        if upstream.held:
-                            upstream.held = False
-                            self._calendar[n + 1].append(upstream)
+                    if mv.source.held:
+                        mv.source.held = False
+                        self._calendar[n + 1].append(mv.source)
                     c -= 1.0
                 credit[mv.id] = min(c, 1.0)
 

@@ -325,6 +325,31 @@ def test_summary_averages_over_seeds():
     assert rows[2][1] == "126.000000 (+20.00%)"
 
 
+def test_summary_leaves_empty_cells_out_of_the_mean():
+    """A cell whose run had no vehicles has no travel time: it counts in
+    no mean, and an entry with only such cells is blank."""
+    cells = [("s", "mp", 0, 1.0), ("s", "mp", 1, 0.0), ("s", "mp", 2, None),
+             ("s", "fixedtime", 0, None), ("t", "mp", 0, None), ("t", "fixedtime", 0, 2.0)]
+    assert summary_rows(cells) == [
+        ["controller", "s", "t"], ["mp", "0.500000", ""], ["fixedtime", "", "2.000000"],
+    ]
+
+
+def test_sparse_cells_without_vehicles_have_no_value():
+    """Uniform 0.01 veh/s over 3 s releases a vehicle on 2 of 10 seeds: the
+    other 8 cells are empty and the summary averages the 2 (ATT 1 and 0)."""
+    scenario = Scenario(
+        id="x", net=build_grid(1, 1, 300.0, 300.0), demand=Uniform(0.01),
+        sim=SimConfig(episode_length=3.0),
+    )
+    result = run_experiment(
+        ExperimentPlan((scenario,), (ControllerSpec(name="mp"),), tuple(range(10)))
+    )
+    assert sum(r.empty for r in result.reports) == 8
+    assert sorted(c[3] for c in result.cells if c[3] is not None) == [0.0, 1.0]
+    assert summary_rows(result.cells)[1] == ["mp", "0.500000"]
+
+
 def test_cell_order_does_not_change_results(tmp_path):
     scenario = tiny_scenario()
     specs = (ControllerSpec(name="fixedtime"), ControllerSpec(name="mp"))

@@ -221,6 +221,53 @@ def test_movement_with_bad_lanes_exits_two(entering, violation, tmp_path, capsys
     assert err.startswith("configuration error") and violation in err
 
 
+@pytest.mark.parametrize(
+    "field, lanes, violation",
+    [
+        ("entering", ["boundary:N0__n0_0#1", "boundary:W0__n0_0#1"],
+         "entering lanes not on one road ending here"),
+        ("entering", ["n0_0__boundary:E0#1"], "entering lanes not on one road ending here"),
+        ("exiting", ["n0_0__boundary:S0#0", "n0_0__boundary:E0#0"],
+         "exiting lanes not on one road starting here"),
+        ("exiting", ["boundary:E0__n0_0#0"], "exiting lanes not on one road starting here"),
+    ],
+    ids=["entering-two-roads", "entering-a-leaving-road", "exiting-two-roads",
+         "exiting-an-arriving-road"],
+)
+def test_movement_across_roads_exits_two(field, lanes, violation, tmp_path, capsys):
+    """The engine moves a movement's vehicles off the road of its first
+    entering lane onto the road of its first exiting lane, so every lane
+    of a side must lie on that one road, at this intersection."""
+    doc = network_to_dict(build_grid(1, 1, 300.0, 300.0))
+    movement = doc["intersections"][0]["movements"][0]  # n0_0:NT
+    assert movement["id"] == "n0_0:NT"
+    movement[field] = lanes
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(doc))
+    code = main(["run", "--network", str(path), "--demand", "uniform:0.1",
+                 "--episode-length", "60", "--seeds", "0"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and violation in err
+
+
+@pytest.mark.parametrize("ids", [[1, 2, 3, 4], [1, 0, 2, 3]])
+def test_phase_ids_other_than_their_positions_exit_two(ids, tmp_path, capsys):
+    """The engine and the fixed-time cycle take a phase's id as its
+    position: ids 1..4 made fixedtime fail, and ids [1, 0, 2, 3] made it
+    cycle in id order while the engine served phases by position."""
+    doc = network_to_dict(build_grid(1, 1, 300.0, 300.0))
+    for phase, pid in zip(doc["intersections"][0]["phases"], ids):
+        phase["id"] = pid
+    path = tmp_path / "renumbered.json"
+    path.write_text(json.dumps(doc))
+    code = main(["run", "--network", str(path), "--controller", "fixedtime",
+                 "--demand", "uniform:0.1", "--episode-length", "60", "--seeds", "0"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and "is not its position" in err
+
+
 def _drop_start(path):
     flows = json.loads(path.read_text())
     del flows[0]["start_s"]

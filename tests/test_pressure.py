@@ -58,7 +58,12 @@ def split(obs, net: RoadNetwork, intersection: str) -> tuple[tuple, tuple]:
 def add_transit(st: SimState, net: RoadNetwork, road_id: str, next_road: str) -> None:
     """An in-transit vehicle with the hop plan a simulation gives it."""
     vid = max(st.vehicles, default=-1) + 1
-    lanes = net.lanes_by_turn[(road_id, net.turn_between[(road_id, next_road)])]
+    lanes = next(
+        m.entering
+        for table in net.lane_table.values()
+        for m in table.movements
+        if (m.source_road, m.receiving_road) == (road_id, next_road)
+    )
     st.vehicles[vid] = Vehicle(
         id=vid, route=(road_id, next_road), route_pos=0, entry_time=0.0, plan=(lanes, None)
     )

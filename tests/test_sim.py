@@ -10,9 +10,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pressim.bench import Asymmetric, generate_synthetic_demand
+from pressim.bench import Asymmetric, Uniform, generate_synthetic_demand
 from pressim.control import ControllerConfig, PressureController, make_controllers
-from pressim.network import PhaseScheme, build_grid
+from pressim.network import (
+    PhaseScheme,
+    build_grid,
+    network_from_dict,
+    network_to_dict,
+    validate,
+)
 from pressim.sim import (
     ConfigurationError,
     FlowSpec,
@@ -279,6 +285,38 @@ def test_pick_lane_least_loaded_ties_to_first():
     assert pick_lane(("a", "b", "c"), load) == "b"
     assert pick_lane(("c", "b"), load) == "c"
     assert pick_lane(("a",), load) == "a"
+
+
+def _with_west_entry_lanes(*designations):
+    """The 1x1 grid with the west entry road's lanes from #2 on designated
+    as given; no movement's lanes change."""
+    doc = network_to_dict(build_grid(1, 1, 300.0, 300.0))
+    lanes = next(r for r in doc["roads"] if r["id"] == "boundary:W0__n0_0")["lanes"]
+    lanes[2:] = [{"index": 2 + i, "designation": d} for i, d in enumerate(designations)]
+    return network_from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "designations",
+    [(["right", "through"],), (["right"], ["through"])],
+    ids=["right-lane-also-through", "fourth-lane-through"],
+)
+def test_a_turn_uses_the_lanes_its_movement_enters(designations):
+    """Vehicles queue only on lanes the movement to their next road enters,
+    whatever other lanes are designated for the turn: a through vehicle at
+    the head of the right-turn lane would never go, and one on a lane no
+    movement enters would find no movement at all."""
+    plain = build_grid(1, 1, 300.0, 300.0)
+    net = _with_west_entry_lanes(*designations)
+    assert not validate(net)
+    flows = generate_synthetic_demand(plain, Uniform(0.3), 0, 600.0)
+    config = SimConfig(episode_length=600.0)
+    runs = [Simulation(n, flows, config) for n in (plain, net)]
+    for sim in runs:
+        sim.run(make_controllers(sim.net, "fixedtime"))
+    assert runs[0].state.counters == runs[1].state.counters
+    if len(designations) == 1:  # the same lanes: the same state
+        assert runs[0].state_digest() == runs[1].state_digest()
 
 
 def test_determinism_digest():
@@ -669,38 +707,38 @@ def test_blocked_solo_movement_sleeps_until_its_downstream_lane_pops():
     assert sim._live[0] & bit
 
 
-def test_sleepers_wait_on_every_lane_their_heads_need():
+def test_sleepers_wait_on_their_receiving_road():
     """After every tick of a congested run on the loaded 3x3 grid, where a
-    through head may go to either of two lanes: each solo movement asleep
-    with a head waiting is on the wait list of every movement entering a
-    candidate lane of each head bound its way, and each held road on those
-    of its due head's candidate lanes."""
+    through head may go to either of two lanes: each movement asleep with a
+    head bound its way is on its receiving road's wait list, and each held
+    road has a due head whose every candidate lane is full, so that only a
+    pop from one of the road's own lanes, which wakes it, can move it."""
     net = _WAIT_GRIDS["loaded 3x3"]
     flows = generate_synthetic_demand(net, Asymmetric(0.3, 0.15), 2, 600.0)
     sim = Simulation(net, flows, SimConfig(lane_capacity=4, episode_length=600.0))
     controllers = make_controllers(net, "efficient-mp", ControllerConfig(9.0))
-    two_lane_waits = holds = 0
+    sleeps = holds = 0
     for _ in range(600):
         sim.step(controllers)
         vehicles = sim.state.vehicles
         for ii, (_, _, _, moves) in enumerate(sim._junctions):
             for mv in moves:
-                if sim._live[ii] & mv.bit or not any(mv.lanes):
+                if sim._live[ii] & mv.bit:
                     continue
                 for q in filter(None, mv.lanes):
                     v = vehicles[q[0]]
                     if v.route[v.route_pos + 1] == mv.road.id:
-                        lanes = v.plan[v.route_pos + 1]
-                        two_lane_waits += len(lanes) > 1
-                        for lane in lanes:
-                            assert all((ii, mv.bit) in w for w in sim._waiting[lane])
+                        sleeps += 1
+                        assert (ii, mv.bit) in mv.road.waiting
         for road in sim._roads.values():
             if road.held:
                 holds += 1
-                v = vehicles[road.transit[0][1]]
-                for lane in v.plan[v.route_pos]:
-                    assert all(road in w for w in sim._waiting[lane])
-    assert two_lane_waits > 0 and holds > 0
+                arrival, vid = road.transit[0]
+                assert arrival <= sim.state.clock + 1e-9
+                v = vehicles[vid]
+                lanes = v.plan[v.route_pos]
+                assert all(len(sim.state.queues[lane]) >= road.capacity for lane in lanes)
+    assert sleeps > 0 and holds > 0
 
 
 # the Simulation methods that run on every tick
