@@ -40,7 +40,6 @@ from pressim.network import (
     build_grid,
     load_network,
     save_network,
-    validate,
     with_phase_scheme,
 )
 from pressim.pressure import RewardKind, StateKind
@@ -100,11 +99,10 @@ def _str_list(text: str) -> tuple[str, ...]:
 
 def _load_net(args) -> RoadNetwork:
     net = load_network(args.network)
-    problems = validate(net)
-    if problems:
-        raise ConfigurationError(
-            f"{args.network}: " + "; ".join(str(p) for p in problems[:5])
-        )
+    try:
+        net.lane_table  # built only once validate passes
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{args.network}: {exc}") from None
     if getattr(args, "phases", None) is not None:
         net = with_phase_scheme(net, PhaseScheme(f"{args.phases}-phase"))
     return net

@@ -8,8 +8,9 @@ a phase pairs two non-conflicting movements that hold green together.
 Right-turn movements are never signalized and are permitted in every phase.
 
 ``RoadNetwork.lane_table`` resolves every movement against the roads once
-per network: the engine, the pressure controllers and the learner all read
-these records.
+per network, after ``validate`` passes: the engine, the pressure controllers
+and the learner all read these records, so none of them runs on a malformed
+network.
 """
 
 from __future__ import annotations
@@ -254,7 +255,11 @@ class RoadNetwork:
     @functools.cached_property
     def lane_table(self) -> dict[str, IntersectionLanes]:
         """Built at first use, so that a malformed network still constructs
-        and ``validate`` can report on it."""
+        and ``validate`` can report on it; raises ConfigurationError with
+        ``validate``'s first violations if it reports any."""
+        problems = validate(self)
+        if problems:
+            raise ConfigurationError("; ".join(str(p) for p in problems[:5]))
         return {i.id: self._resolve(i) for i in self.intersections}
 
     def _resolve(self, inter: Intersection) -> IntersectionLanes:
@@ -272,11 +277,6 @@ class RoadNetwork:
             ))
         signalized = tuple(ml for ml in movements if ml.signalized)
         position = {ml.id: k for k, ml in enumerate(signalized)}
-        unknown = [mid for p in inter.phases for mid in p.movements if mid not in position]
-        if unknown:
-            raise ConfigurationError(
-                f"{inter.id}: phases name {unknown}, not signalized movements here"
-            )
         phases = tuple(tuple(position[mid] for mid in p.movements) for p in inter.phases)
         sets = dict.fromkeys(s for ml in signalized for s in (ml.entering, ml.paired, ml.readable))
         singles = [s for s in sets if len(s) == 1]
@@ -314,15 +314,12 @@ class Violation:
 def validate(net: RoadNetwork) -> list[Violation]:
     """Check every structural invariant; an empty list means well-formed."""
     out: list[Violation] = []
-    used = {
-        l for i in net.intersections for m in i.movements for l in (*m.entering, *m.exiting)
-    }
+    entered = {l for i in net.intersections for m in i.movements for l in m.entering}
+    exited = {l for i in net.intersections for m in i.movements for l in m.exiting}
 
     for road in net.roads:
         if not road.lanes:
             out.append(Violation(road.id, "road has no lanes"))
-        elif not any(lane.id in used for lane in road.lanes):
-            out.append(Violation(road.id, "no movement enters or leaves this road"))
         if not 0 < road.length_m < math.inf:  # NaN fails it too
             out.append(Violation(road.id, "length must be positive and finite"))
         if not 0 < road.speed_mps < math.inf:
@@ -334,7 +331,15 @@ def validate(net: RoadNetwork) -> list[Violation]:
                 out.append(
                     Violation(road.id, f"endpoint {endpoint!r} names no intersection")
                 )
+        # a lane of a road ending at an intersection is a stop line that a
+        # movement there must enter; one of a road draining to a boundary
+        # must be one that a movement leaves onto
+        sink = net.is_boundary(road.dst)
         for lane in road.lanes:
+            if sink and lane.id not in exited:
+                out.append(Violation(lane.id, "no movement leaves onto this lane"))
+            elif not sink and lane.id not in entered:
+                out.append(Violation(lane.id, "no movement enters this lane"))
             if not lane.designation:
                 out.append(Violation(lane.id, "lane designation is empty"))
             if lane.index >= len(road.lanes):
@@ -345,6 +350,19 @@ def validate(net: RoadNetwork) -> list[Violation]:
             out.append(
                 Violation(inter.id, "entering and exiting lane sets overlap")
             )
+        # pressure and the learner's features read these sets lane by lane
+        for lane_id in sorted(inter.entering_lanes | inter.exiting_lanes):
+            entering = lane_id in inter.entering_lanes
+            side = "entering" if entering else "exiting"
+            if lane_id not in net.lane_index:
+                out.append(Violation(inter.id, f"unknown {side} lane {lane_id}"))
+                continue
+            road = net.lane_index[lane_id][0]
+            if (road.dst if entering else road.src) != inter.id:
+                where = "ending" if entering else "starting"
+                out.append(
+                    Violation(inter.id, f"{side} lane {lane_id} not on a road {where} here")
+                )
         phase_member_ids = [mid for p in inter.phases for mid in p.movements]
         for m in inter.movements:
             if not m.entering or not m.exiting:

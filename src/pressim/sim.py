@@ -10,8 +10,9 @@ infinite sinks: their vehicles finish on arrival and never queue.
 
 Signal timing: a phase holds at least ``t_duration`` seconds of green. A
 controller decision that changes phase triggers a yellow interval followed
-by an all-red interval during which no signalized movement discharges;
-re-selecting the running phase restarts its green without a transition.
+by an all-red interval during which no signalized movement discharges,
+so the engine counts the two as one interval; re-selecting the running
+phase restarts its green without a transition.
 Unsignalized right turns discharge in every phase and during transitions.
 
 The engine draws no random numbers: identical inputs give identical
@@ -28,17 +29,19 @@ over these tables instead of the network's lookup dicts:
   transition serves (the right turns), in movement order, because that
   order decides which movement wins a contested downstream lane;
 - one record per road (``_Road``): whether it drains to a boundary, the
-  capacity of its stop-line lanes, its travel time, its hop (the fewest
-  whole ticks whose total length reaches its travel time less 1e-9 s), the
-  position of the intersection it enters and the mask of the movements
-  there that its lanes enter. The record also holds the road's transit
-  deque, whether the road is held, and its wait list.
+  capacity of its stop-line lanes, its hop (the fewest whole ticks whose
+  total length reaches its travel time less 1e-9 s), the position of the
+  intersection it enters and the mask of the movements there that its
+  lanes enter. The record also holds the road's transit deque, whether the
+  road is held, and its wait list.
 
 Time is counted in whole ticks. The clock after tick n is ``n * tick``; a
-green's age and a transition's time left are tick counts; a vehicle that
-enters a road on tick n reaches its stop line on tick n + hop; and each
-requested release goes out on the first tick at or after its time, in flow
-order within a tick, because vehicle ids follow it (``FlowSpec``).
+green's age and a transition's time left, yellow and all-red together, are
+tick counts; a road's transit deque holds each vehicle with the tick it
+entered the road on, and one that enters on tick n reaches its stop line on
+tick n + hop; and each requested release goes out on the first tick at or
+after its time, in flow order within a tick, because vehicle ids follow it
+(``FlowSpec``).
 
 The tick loop visits only what can change on the tick:
 
@@ -73,16 +76,20 @@ The tick loop visits only what can change on the tick:
   intersection checked.
 
 Besides two integer counters (the tick index and the next vehicle id), the
-dynamic state lives in ``state`` and in the movement credits (``_credit``)
-alone. The road records with their wait lists, the live masks and the
-calendars are views derived from those two, holding the state's own
-deques; ``step`` rebuilds them whenever ``state`` is another object than
-the one they were built from, with no road held, empty wait lists and
-every non-empty movement live. A shallow copy of a ``Simulation`` with ``state`` and
-``_credit`` replaced by deep copies is therefore an independent fork with
-road records of its own; it shares the other tables above.
-Editing ``state`` in place between steps is not supported, because the
-views would not see it.
+dynamic state lives in ``state`` and in the movement credits (``_credit``).
+The tables above, the road records with their wait lists, the live masks
+and the calendars are built once, in ``__init__``, around the state's own
+deques, and the tick loop updates them with the state. Only what the tick
+loop reads is kept: a vehicle's status (finished, queued or in transit)
+and a transition's stage are worked out by ``state_digest``. State edited
+by hand, even before the first step, is not seen.
+
+A fork is a deep copy of the whole ``Simulation``. A memo keeps the copy
+cheap by sharing what no step changes: it maps the network, the controllers
+mapping last stepped with (read by identity), the flows and their hop plans
+each to itself, and the vehicle table to a copy that shares the finished
+vehicles; a vehicle holds only immutable values, so a shallow copy of an
+unfinished one is its deep copy.
 """
 
 from __future__ import annotations
@@ -92,7 +99,6 @@ import json
 import math
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field
-from enum import Enum
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Deque, Mapping, Optional, Sequence
 
@@ -146,39 +152,20 @@ class FlowSpec:
     headway_s: float
 
 
-class VehicleStatus(Enum):
-    IN_TRANSIT = "in_transit"
-    QUEUED = "queued"
-    FINISHED = "finished"
-
-
 @dataclass(slots=True)
 class Vehicle:
     id: int
     route: tuple[str, ...]
     route_pos: int
     entry_time: float
-    exit_time: Optional[float] = None
-    status: VehicleStatus = VehicleStatus.IN_TRANSIT
+    exit_time: Optional[float] = None  # set when it finishes
     # the flow's hop plan: stop-line lane candidates per route position
     plan: tuple[Optional[tuple[str, ...]], ...] = ()
 
 
-class TransitionStage(Enum):
-    YELLOW = "yellow"
-    ALL_RED = "all_red"
-
-
-# the members, in definition order, as the module names the tick loop reads:
-# a read of a member through its class costs about nine times a name's
-_IN_TRANSIT, _QUEUED, _FINISHED = VehicleStatus
-_YELLOW, _ALL_RED = TransitionStage
-
-
 @dataclass
 class Transition:
-    stage: TransitionStage
-    remaining: int  # ticks left in the stage
+    remaining: int  # ticks left of yellow and all-red
     next_phase: int
 
 
@@ -201,7 +188,8 @@ class Counters:
 class SimState:
     clock: float = 0.0
     queues: dict[str, Deque[int]] = field(default_factory=dict)
-    transit: dict[str, Deque[tuple[float, int]]] = field(default_factory=dict)
+    # per road: (the tick it entered the road on, vehicle id), oldest first
+    transit: dict[str, Deque[tuple[int, int]]] = field(default_factory=dict)
     signals: dict[str, SignalState] = field(default_factory=dict)
     vehicles: dict[int, Vehicle] = field(default_factory=dict)
     counters: Counters = field(default_factory=Counters)
@@ -239,15 +227,14 @@ def _bit_positions(bits: int) -> tuple[int, ...]:
 # records are compared by identity, never field by field through their deques
 @dataclass(slots=True, eq=False)
 class _Road:
-    """A road bound to one ``SimState``: ``transit`` is the state's transit
+    """A road of one ``Simulation``: ``transit`` is its state's transit
     deque of the road."""
 
     id: str
     sink: bool  # drains to a boundary
     capacity: int  # of each stop-line lane
-    travel_time: float
     hop: int  # ticks from entering the road to reaching its stop line
-    transit: Deque[tuple[float, int]]
+    transit: Deque[tuple[int, int]]
     junction: int  # position of the intersection it enters; -1 for a sink
     feeds: int = 0  # mask of the movements there that its lanes enter
     # what a pop from any of its stop-line lanes wakes: (intersection
@@ -259,7 +246,7 @@ class _Road:
 
 @dataclass(slots=True)
 class _Move:
-    """A movement bound to one ``SimState``: ``lanes`` are the state's
+    """A movement of one ``Simulation``: ``lanes`` are its state's
     queues of its entering lanes, ``source`` the road they lie on and
     ``road`` its receiving road."""
 
@@ -274,126 +261,103 @@ class _Move:
 class Simulation:
     """One episode of network, demand, and signal state.
 
-    Construct a fresh instance per episode; the constructor validates the
-    flows against the network and raises ConfigurationError on any broken
-    route. ``step(controllers)`` advances one tick; controllers is a mapping
-    from intersection id to a controller (missing ids keep phase 0 forever).
+    Construct a fresh instance per episode; the constructor checks the
+    network and the flows against it, and raises ConfigurationError on a
+    malformed network or any broken route. ``step(controllers)`` advances
+    one tick; controllers is a mapping from intersection id to a controller
+    (missing ids keep phase 0 forever).
     """
 
     def __init__(self, net: RoadNetwork, flows: list[FlowSpec], config: SimConfig):
         self.net = net
         self.flows = list(flows)
         self.config = config
+        table = net.lane_table  # raises ConfigurationError on a malformed network
         problems = validate_flows(net, self.flows)
         if problems:
             raise ConfigurationError("; ".join(problems))
 
-        self._intersection_ids = [i.id for i in net.intersections]
+        tick, cap = config.tick, config.lane_capacity
+        self._intersection_ids = ids = [i.id for i in net.intersections]
         self._n_phases = {i.id: len(i.phases) for i in net.intersections}
-        # per intersection: the mask of movements each phase serves, the mask
-        # of those a transition serves, and its movements in movement order
-        self._served: list[tuple[str, tuple[int, ...], int, tuple]] = []
-        for inter in net.intersections:
-            movements = net.lane_table[inter.id].movements
-            by_phase = tuple(
-                sum(1 << k for k, m in enumerate(movements)
-                    if not m.signalized or m.id in p.movements)
-                for p in inter.phases
-            )
-            in_transition = sum(1 << k for k, m in enumerate(movements) if not m.signalized)
-            self._served.append((inter.id, by_phase, in_transition, movements))
-        self._positions: dict[int, tuple[int, ...]] = {}  # bitmask -> _bit_positions(bitmask)
-
-        # per flow route its hop plan, each hop the entering lanes of the
-        # movement linking the two roads
-        links = {
-            (m.source_road, m.receiving_road): m.entering
-            for lanes in net.lane_table.values()
-            for m in lanes.movements
-        }
-        self._plans = {
-            f.route: (*(links[hop] for hop in zip(f.route, f.route[1:])), None)
-            for f in self.flows
-        }
-        tick = config.tick
         self._episode_ticks = _ticks_to(config.episode_length, tick)
-        # a transition's ticks of yellow, then of all-red: the all-red ends
-        # on the first tick at or after yellow + all_red from its start
-        self._yellow = _ticks_to(config.yellow, tick)
-        self._all_red = _ticks_to(config.yellow + config.all_red, tick) - self._yellow
+        # a transition's ticks of yellow and all-red: it ends on the first
+        # tick at or after yellow + all_red from its start
+        self._transition = _ticks_to(config.yellow + config.all_red, tick)
         self._gain = tick / config.saturation_headway
 
-        self.state = SimState(
+        self.state = st = SimState(
             queues={l: deque() for l in net.lane_index},
             transit={r.id: deque() for r in net.roads},
-            signals={i: SignalState() for i in self._intersection_ids},
+            signals={i: SignalState() for i in ids},
         )
         self._credit: dict[str, float] = {
             m.id: 0.0 for i in net.intersections for m in i.movements
         }
         self._ticks = 0
         self._next_vehicle_id = 0
-        self._bound: Optional[SimState] = None  # the state the views below are bound to
 
-    def _bind(self) -> None:
-        """Rebuild the views of ``state`` and ``_credit`` the tick loop reads:
-        the road records, none held and with empty wait lists, per flow its
-        entry road, per intersection its signal state and its movements bound
-        to their queues, the live masks and the calendars."""
-        st, tick, cap = self.state, self.config.tick, self.config.lane_capacity
-        queues, credit = st.queues, self._credit
-        junction = {iid: ii for ii, iid in enumerate(self._intersection_ids)}
+        junction = {iid: ii for ii, iid in enumerate(ids)}
         # per road id, in network order: its record
         self._roads = roads = {
             r.id: _Road(
-                r.id, self.net.terminal(r.id),
+                r.id, net.terminal(r.id),
                 cap if cap is not None else max(1, math.floor(r.length_m / 7.5)),
-                r.travel_time, _ticks_to(r.travel_time, tick), st.transit[r.id],
-                junction.get(r.dst, -1),
+                _ticks_to(r.travel_time, tick), st.transit[r.id], junction.get(r.dst, -1),
             )
-            for r in self.net.roads
+            for r in net.roads
+        }
+        # per flow route its hop plan, each hop the entering lanes of the
+        # movement linking the two roads
+        links = {
+            (m.source_road, m.receiving_road): m.entering
+            for lanes in table.values()
+            for m in lanes.movements
+        }
+        self._plans = {
+            f.route: (*(links[hop] for hop in zip(f.route, f.route[1:])), None)
+            for f in self.flows
         }
         # per flow: (entry road, hop plan, the flow)
         self._entries = [(roads[f.route[0]], self._plans[f.route], f) for f in self.flows]
+        # per intersection: its signal state, the mask of movements each phase
+        # serves, the mask of those a transition serves, and its movements in
+        # movement order, bit k the k-th of its lane table entry
         self._junctions = []
-        self._live = []
-        for iid, by_phase, in_transition, movements in self._served:
+        for inter in net.intersections:
+            movements = table[inter.id].movements
             entered = Counter(l for m in movements for l in m.entering)
             moves = []
-            live = 0
             for k, m in enumerate(movements):
                 mv = _Move(
-                    m.id, 1 << k, tuple(queues[l] for l in m.entering),
+                    m.id, 1 << k, tuple(st.queues[l] for l in m.entering),
                     roads[m.source_road], roads[m.receiving_road],
                     all(entered[l] == 1 for l in m.entering),
                 )
                 mv.source.feeds |= mv.bit
-                if any(mv.lanes) or credit[m.id] < 1.0:
-                    live |= mv.bit
                 moves.append(mv)
-            self._junctions.append((st.signals[iid], by_phase, in_transition, tuple(moves)))
-            self._live.append(live)
+            by_phase = tuple(
+                sum(1 << k for k, m in enumerate(movements)
+                    if not m.signalized or m.id in p.movements)
+                for p in inter.phases
+            )
+            in_transition = sum(1 << k for k, m in enumerate(movements) if not m.signalized)
+            self._junctions.append((st.signals[inter.id], by_phase, in_transition, tuple(moves)))
+        # per intersection the mask of its live movements: at first, all
+        self._live = [(1 << len(moves)) - 1 for *_, moves in self._junctions]
+        self._positions: dict[int, tuple[int, ...]] = {}  # bitmask -> _bit_positions(bitmask)
         # tick -> the intersections _poll checks; per intersection its last booked check
-        self._signals = [st.signals[iid] for iid in self._intersection_ids]
+        self._signals = [st.signals[iid] for iid in ids]
         self._checks: defaultdict[int, list[int]] = defaultdict(list)
-        self._check_at = [0] * len(self._signals)
+        self._check_at = [0] * len(ids)
         self._mapping: Optional[Mapping[str, Controller]] = None  # check all at the next poll
         # tick -> the roads its transit pass visits; the next pass is tick
         # n + 1's, and books each road visited again on its head's due tick
         self._calendar: defaultdict[int, list[_Road]] = defaultdict(list)
-        n = self._ticks
-        self._calendar[n + 1] = [road for road in roads.values() if road.transit]
         # tick -> (flow, index k) of the next release of each flow due on it
         self._releases: defaultdict[int, list[tuple[int, int]]] = defaultdict(list)
         for fi, f in enumerate(self.flows):
-            # from an index no later than the first release after tick n: one
-            # due by then lies a headway or more before its clock
-            k = max(0, math.floor((n * tick - f.start_s) / f.headway_s) - 1) if n else 0
-            while (at := self._release_tick(f, k)) is not None and at <= n:
-                k += 1
-            if at is not None:
-                self._releases[at].append((fi, k))
-        self._bound = st
+            self._releases[self._release_tick(f, 0)].append((fi, 0))
 
     # -- tick ---------------------------------------------------------------
 
@@ -402,8 +366,6 @@ class Simulation:
         mapping, or a changed ``t_duration``, must come as a new mapping
         object. ``set_phase`` may be called between steps."""
         st = self.state
-        if st is not self._bound:
-            self._bind()
         self._ticks += 1
         st.clock = self._ticks * self.config.tick
         self._advance_signals()
@@ -423,25 +385,17 @@ class Simulation:
     def _advance_signals(self) -> None:
         n = self._ticks
         for i, sig in enumerate(self._signals):
-            if sig.transition is None:
-                sig.elapsed += 1
-            else:
-                sig.transition.remaining -= 1
-                self._normalize_transition(sig)
-                if sig.transition is None:  # green again: check it on this tick
-                    self._check_at[i] = n
-                    self._checks[n].append(i)
-
-    def _normalize_transition(self, sig: SignalState) -> None:
-        while sig.transition is not None and sig.transition.remaining <= 0:
             tr = sig.transition
-            if tr.stage is _YELLOW:
-                tr.stage = _ALL_RED
-                tr.remaining = self._all_red
-            else:
+            if tr is None:
+                sig.elapsed += 1
+                continue
+            tr.remaining -= 1
+            if tr.remaining == 0:  # green again: check it on this tick
                 sig.active = tr.next_phase
                 sig.elapsed = 0
                 sig.transition = None
+                self._check_at[i] = n
+                self._checks[n].append(i)
 
     def set_phase(self, intersection: str, phase: int) -> None:
         """Request a phase; no-op while a transition is underway."""
@@ -453,11 +407,11 @@ class Simulation:
             )
         if sig.transition is not None:
             return
-        if phase == sig.active:
+        if phase == sig.active or not self._transition:  # green anew at once
+            sig.active = phase
             sig.elapsed = 0
-            return
-        sig.transition = Transition(_YELLOW, self._yellow, phase)
-        self._normalize_transition(sig)
+        else:
+            sig.transition = Transition(self._transition, phase)
 
     # -- demand -------------------------------------------------------------
 
@@ -481,11 +435,11 @@ class Simulation:
                 else:
                     vid = self._next_vehicle_id
                     self._next_vehicle_id += 1
-                    st.vehicles[vid] = Vehicle(vid, flow.route, 0, now, None, _IN_TRANSIT, plan)
+                    st.vehicles[vid] = Vehicle(vid, flow.route, 0, now, None, plan)
                     dq = road.transit
                     if not dq:  # this tick's transit pass runs after the releases
                         self._calendar[n + road.hop].append(road)
-                    dq.append((now + road.travel_time, vid))
+                    dq.append((n, vid))
                 k += 1
                 at = self._release_tick(flow, k)
             if at is not None:
@@ -511,19 +465,16 @@ class Simulation:
         st = self.state
         clock = st.clock
         queues, vehicles = st.queues, st.vehicles
-        tick, calendar, live = self.config.tick, self._calendar, self._live
+        calendar, live = self._calendar, self._live
         joined = finished = 0
         # roads do not interact here: a road's vehicles join only its own lanes
         for road in roads:
-            dq, travel_time, hop = road.transit, road.travel_time, road.hop
-            # a head is due if it entered hop or more ticks ago: at or before
-            # the arrival time of one entered just hop ticks ago, computed alike
-            due = (n - hop) * tick + travel_time
-            while dq and dq[0][0] <= due:
+            dq, hop = road.transit, road.hop
+            last = n - hop  # a head is due if it entered on this tick or before
+            while dq and dq[0][0] <= last:
                 v = vehicles[dq[0][1]]
                 if road.sink:
                     dq.popleft()
-                    v.status = _FINISHED
                     v.exit_time = clock
                     finished += 1
                     continue
@@ -540,11 +491,9 @@ class Simulation:
                     live[road.junction] |= road.feeds
                 q.append(v.id)
                 joined += 1
-                v.status = _QUEUED
             else:
-                if dq:  # the next head is not yet due: book the tick it is,
-                    # a hop after the tick whose clock it entered the road at
-                    calendar[round((dq[0][0] - travel_time) / tick) + hop].append(road)
+                if dq:  # the next head is not yet due: book the tick it is
+                    calendar[dq[0][0] + hop].append(road)
         st.total_queued += joined
         st.counters.finished += finished
 
@@ -640,11 +589,10 @@ class Simulation:
                     q.popleft()
                     st.total_queued -= 1
                     v.route_pos = pos
-                    v.status = _IN_TRANSIT
                     dq = road.transit
                     if not dq:  # this tick's transit pass has run: at least the next
                         calendar[n + (road.hop or 1)].append(road)
-                    dq.append((st.clock + road.travel_time, v.id))
+                    dq.append((n, v.id))
                     # wake what waits on a pop from this road
                     source = mv.source
                     w = source.waiting
@@ -671,28 +619,43 @@ class Simulation:
         }
 
     def state_digest(self) -> str:
-        """Hash of the full dynamic state; equal digests mean equal runs."""
+        """Hash of the full dynamic state; equal digests mean equal runs.
+
+        It hashes what the state implies as well: a vehicle in transit by its
+        arrival time, the tick it entered its road on plus the road's travel
+        time; a transition by its stage, yellow until the all-red's ticks
+        are left; and each vehicle's status."""
         st, tick = self.state, self.config.tick
+        red = self._transition - _ticks_to(self.config.yellow, tick)  # ticks of all-red
+
+        def signal(s: SignalState) -> list:
+            tr = s.transition
+            if tr is None:
+                return [s.active, round(s.elapsed * tick, 9), None, None, None]
+            yellow = tr.remaining > red
+            return [
+                s.active,
+                round(s.elapsed * tick, 9),
+                "yellow" if yellow else "all_red",
+                round((tr.remaining - red if yellow else tr.remaining) * tick, 9),
+                tr.next_phase,
+            ]
+
+        queued = {vid for q in st.queues.values() for vid in q}
         doc = {
             "clock": round(st.clock, 9),
             "queues": {l: list(q) for l, q in sorted(st.queues.items())},
             "transit": {
-                r: [[round(t, 9), v] for t, v in dq]
+                r: [[round(entered * tick + self.net.road_index[r].travel_time, 9), v]
+                    for entered, v in dq]
                 for r, dq in sorted(st.transit.items())
             },
-            "signals": {
-                i: [
-                    s.active,
-                    round(s.elapsed * tick, 9),
-                    s.transition.stage.value if s.transition else None,
-                    round(s.transition.remaining * tick, 9) if s.transition else None,
-                    s.transition.next_phase if s.transition else None,
-                ]
-                for i, s in sorted(st.signals.items())
-            },
+            "signals": {i: signal(s) for i, s in sorted(st.signals.items())},
             "credit": {m: round(c, 9) for m, c in sorted(self._credit.items())},
             "vehicles": [
-                [v.id, v.route_pos, v.status.value]
+                [v.id, v.route_pos,
+                 "finished" if v.exit_time is not None
+                 else "queued" if v.id in queued else "in_transit"]
                 for v in st.vehicles.values()
             ],
             "counters": [

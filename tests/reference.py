@@ -33,7 +33,6 @@ from pressim.sim import (
     ConfigurationError,
     SimState,
     Simulation,
-    VehicleStatus,
 )
 
 
@@ -184,11 +183,9 @@ class AwakeSimulation(Simulation):
     def _advance_transit(self) -> None:
         st, n, tick = self.state, self._ticks, self.config.tick
         for road in self._calendar.pop(n, ()):
-            dq, travel_time = road.transit, road.travel_time
+            dq, travel_time = road.transit, self.net.road_index[road.id].travel_time
             while dq:
-                # the head entered on the tick whose clock plus the travel
-                # time is its arrival
-                entered = round((dq[0][0] - travel_time) / tick)
+                entered = dq[0][0]
                 if (n - entered) * tick < travel_time - _EPS:  # not yet due
                     due = max(n + 1, entered + int(travel_time / tick) - 1)
                     while (due - entered) * tick < travel_time - _EPS:
@@ -198,7 +195,6 @@ class AwakeSimulation(Simulation):
                 v = st.vehicles[dq[0][1]]
                 if road.sink:
                     dq.popleft()
-                    v.status = VehicleStatus.FINISHED
                     v.exit_time = st.clock
                     st.counters.finished += 1
                     continue
@@ -210,7 +206,6 @@ class AwakeSimulation(Simulation):
                 dq.popleft()
                 st.queues[lane].append(v.id)
                 st.total_queued += 1
-                v.status = VehicleStatus.QUEUED
                 self._live[road.junction] |= road.feeds
 
     def _discharge(self) -> None:
@@ -243,10 +238,9 @@ class AwakeSimulation(Simulation):
                     q.popleft()
                     st.total_queued -= 1
                     v.route_pos = pos
-                    v.status = VehicleStatus.IN_TRANSIT
                     if not road.transit:
                         self._calendar[n + max(1, road.hop)].append(road)
-                    road.transit.append((st.clock + road.travel_time, v.id))
+                    road.transit.append((n, v.id))
                     if mv.source.held:
                         mv.source.held = False
                         self._calendar[n + 1].append(mv.source)

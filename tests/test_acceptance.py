@@ -9,8 +9,6 @@ scenario constants keep everything at desk scale.
 
 import copy
 import csv
-import dataclasses
-from collections import deque
 
 import numpy as np
 import pytest
@@ -42,14 +40,7 @@ from pressim.rl import (
     evaluation_travel_time,
     train,
 )
-from pressim.sim import (
-    SignalState,
-    SimConfig,
-    SimState,
-    Simulation,
-    Transition,
-    VehicleStatus,
-)
+from pressim.sim import SimConfig, Simulation
 from reference import gradient_check
 
 
@@ -79,37 +70,17 @@ class _Hold:
 
 
 def _fork(sim: Simulation) -> Simulation:
-    """Cheap copy of a live simulation: immutable tables are shared, the
-    dynamic state is rebuilt, and finished vehicles are left behind."""
-    st = sim.state
-    clone = type(sim).__new__(type(sim))
-    clone.__dict__.update(sim.__dict__)
-    clone._credit = dict(sim._credit)
-    signals = {}
-    for iid, sig in st.signals.items():
-        tr = sig.transition
-        signals[iid] = SignalState(
-            active=sig.active,
-            elapsed=sig.elapsed,
-            transition=None
-            if tr is None
-            else Transition(tr.stage, tr.remaining, tr.next_phase),
-        )
-    clone.state = SimState(
-        clock=st.clock,
-        queues={l: copy.copy(q) for l, q in st.queues.items()},
-        transit={r: copy.copy(t) for r, t in st.transit.items()},
-        signals=signals,
-        vehicles={
-            vid: dataclasses.replace(v)
-            for vid, v in st.vehicles.items()
-            if v.status is not VehicleStatus.FINISHED
-        },
-        counters=dataclasses.replace(st.counters),
-        total_queued=st.total_queued,
-        max_total_queue=st.max_total_queue,
-    )
-    return clone
+    """An independent copy of a live simulation: a deep copy whose memo
+    shares what no step changes, the network, the controllers mapping (read
+    by identity), the flows and their hop plans, and the finished vehicles.
+    A vehicle holds only immutable values, so the memo's copy of the
+    vehicle table copies each unfinished one shallowly."""
+    memo = {id(obj): obj for obj in (sim.net, sim._mapping, *sim.flows, *sim._plans.values())}
+    vehicles = sim.state.vehicles
+    memo[id(vehicles)] = {
+        vid: v if v.exit_time is not None else copy.copy(v) for vid, v in vehicles.items()
+    }
+    return copy.deepcopy(sim, memo)
 
 
 class _ExhaustiveLookahead:
@@ -415,10 +386,10 @@ def test_11_cell_determinism(tmp_path):
 
 
 def test_fork_leaves_the_original_unaffected():
-    """A fork stepped on its own must not move the run it was forked from:
-    the engine keeps no dynamic state outside ``state`` and ``_credit``. The
-    fork rebuilds its release calendar from the tick index and runs 200
-    ticks ahead, past the episode's end, without touching the original's."""
+    """A fork stepped on its own must not move the run it was forked from,
+    though it shares the network, the controllers mapping and the hop
+    plans. The fork runs 200 ticks ahead, past the episode's end, on its own
+    copy of the release calendar, without touching the original's."""
     net = build_grid(2, 2, 300.0, 300.0)
     flows = generate_synthetic_demand(net, Asymmetric(0.2, 0.1), 3, 600.0)
     config = SimConfig(episode_length=147.0, lane_capacity=8)
@@ -444,12 +415,11 @@ def test_fork_leaves_the_original_unaffected():
 
 def test_fork_steps_in_lockstep_with_the_original():
     """A fork of a congested run, stepped with the same controllers, stays in
-    step with the original. The fork rebuilds the engine's views (live
-    movements, the transit calendar, held roads) from the state it is
-    handed, so this fails when a rebuilt view drops a road or a movement the
-    original still tracks, such as a head already due at the fork. Both
-    sides are forked before comparing, since a fork leaves finished
-    vehicles behind."""
+    step with the original. The fork copies the engine's views (live
+    movements, the calendars, held roads and wait lists) with the state, so
+    this fails when a copy loses track of a road or a movement the original
+    still tracks, such as a head already due at the fork. The digests are
+    taken of forks of both sides, so that a second copy is checked too."""
     net = build_grid(2, 2, 300.0, 300.0)
     flows = generate_synthetic_demand(net, Asymmetric(0.2, 0.1), 3, 600.0)
     config = SimConfig(episode_length=600.0, lane_capacity=8)

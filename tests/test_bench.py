@@ -32,16 +32,12 @@ from pressim.sim import (
     SimConfig,
     Simulation,
     Vehicle,
-    VehicleStatus,
     validate_flows,
 )
 
 
 def vehicle(vid, entry, exit=None):
-    status = VehicleStatus.FINISHED if exit is not None else VehicleStatus.IN_TRANSIT
-    return Vehicle(
-        id=vid, route=("a", "b"), route_pos=0, entry_time=entry, exit_time=exit, status=status
-    )
+    return Vehicle(id=vid, route=("a", "b"), route_pos=0, entry_time=entry, exit_time=exit)
 
 
 def crossing_flows(end=300.0):

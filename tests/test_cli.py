@@ -268,6 +268,39 @@ def test_phase_ids_other_than_their_positions_exit_two(ids, tmp_path, capsys):
     assert err.startswith("configuration error") and "is not its position" in err
 
 
+@pytest.mark.parametrize(
+    "grid, field, lane, controller, violation",
+    [
+        ((1, 1), "entering_lanes", "nowhere#0", "rl", "unknown entering lane nowhere#0"),
+        ((1, 1), "exiting_lanes", "nowhere#0", "mp", "unknown exiting lane nowhere#0"),
+        ((2, 2), "entering_lanes", "n1_1__n0_1#0", "rl",
+         "entering lane n1_1__n0_1#0 not on a road ending here"),
+        ((2, 2), "exiting_lanes", "n1_1__n0_1#0", "mp",
+         "exiting lane n1_1__n0_1#0 not on a road starting here"),
+    ],
+    ids=["entering-unknown", "exiting-unknown", "entering-elsewhere", "exiting-elsewhere"],
+)
+def test_intersection_lane_sets_off_its_roads_exit_two(
+    grid, field, lane, controller, violation, tmp_path, capsys
+):
+    """Pressure and the learner's features read an intersection's own
+    entering and exiting lane sets: an unknown lane failed the run with a
+    KeyError, and a lane of another intersection's road entered n0_0's
+    reward."""
+    doc = network_to_dict(build_grid(*grid, 300.0, 300.0))
+    inter = doc["intersections"][0]
+    assert inter["id"] == "n0_0"
+    inter[field].append(lane)
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(doc))
+    code = main(["run", "--network", str(path), "--controller", controller,
+                 "--demand", "uniform:0.1", "--episode-length", "60", "--seeds", "0",
+                 "--episodes", "1", "--eval-episodes", "1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and violation in err
+
+
 def _drop_start(path):
     flows = json.loads(path.read_text())
     del flows[0]["start_s"]

@@ -202,8 +202,8 @@ def _released(sim, ticks):
 @settings(max_examples=60, deadline=None)
 @given(flows=_flows, tick=st.sampled_from([1.0, 0.1]), split=st.integers(1, 400))
 def test_release_schedule_matches_per_tick_predicate(flows, tick, split):
-    """The release calendar against the walk over the ticks, also when
-    rebuilt from the tick index of a fork."""
+    """The release calendar against the walk over the ticks, also in a
+    fork's copy of it."""
     ticks = round(40.0 / tick)
     reference = _reference_releases(flows, tick, ticks)
     config = SimConfig(tick=tick, episode_length=40.0, lane_capacity=10**6)

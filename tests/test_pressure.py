@@ -67,7 +67,7 @@ def add_transit(st: SimState, net: RoadNetwork, road_id: str, next_road: str) ->
     st.vehicles[vid] = Vehicle(
         id=vid, route=(road_id, next_road), route_pos=0, entry_time=0.0, plan=(lanes, None)
     )
-    st.transit[road_id].append((99.0, vid))
+    st.transit[road_id].append((0, vid))
 
 
 def test_movement_pressure_examples():
@@ -226,7 +226,7 @@ def test_lane_stats_terminal_road_attributes_nothing():
     net = build_grid(1, 1, 400.0, 400.0)
     stt = make_state(net)
     stt.vehicles[0] = Vehicle(0, ("n0_0__boundary:S0",), 0, 0.0)
-    stt.transit["n0_0__boundary:S0"].append((50.0, 0))
+    stt.transit["n0_0__boundary:S0"].append((0, 0))
     for s in lane_stats(stt, net, "n0_0__boundary:S0"):
         assert s.vehicles == s.queue == 0
 
