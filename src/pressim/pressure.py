@@ -14,7 +14,10 @@ Everything here is a pure function over a state snapshot and is safe to
 evaluate concurrently across intersections. ``phase_scores``, which
 controllers poll, and ``extract_state`` and ``reward``, which the learner
 reads, run over the network's ``lane_table``; the tests check them against
-a per-movement reference of the definitions above.
+a per-movement reference of the definitions above. They take queue lengths
+from the state's ``reads``: the lane table's lane sets per intersection as
+references to the state's own queues, which ``SimState.for_network``
+builds with the queues, so a read looks up no lane id and caches nothing.
 """
 
 from __future__ import annotations
@@ -85,11 +88,13 @@ def lane_stats(state: SimState, net: RoadNetwork, road_id: str) -> list[LaneStat
     road = net.road_index[road_id]
     queue = {l.id: len(state.queues[l.id]) for l in road.lanes}
     extra = {l.id: 0 for l in road.lanes}
-    if not net.terminal(road_id):
+    transit = state.transit[road_id]
+    if transit and not net.terminal(road_id):
         virtual = dict(queue)
-        for _, vid in state.transit[road_id]:
+        lane_ids = tuple(net.lane_index)  # a hop plan holds positions in this order
+        for _, vid in transit:
             v = state.vehicles[vid]
-            pick = pick_lane(v.plan[v.route_pos], virtual.__getitem__)
+            pick = pick_lane([lane_ids[k] for k in v.plan[v.route_pos]], virtual.__getitem__)
             virtual[pick] += 1
             extra[pick] += 1
     return [
@@ -109,15 +114,17 @@ def _lanes(net: RoadNetwork, intersection: str) -> IntersectionLanes:
         raise ConfigurationError(f"unknown intersection {intersection!r}") from None
 
 
-def _movement_scores(state: SimState, lanes: IntersectionLanes, efficient: bool) -> list:
+def _movement_scores(
+    state: SimState, intersection: str, lanes: IntersectionLanes, efficient: bool
+) -> list:
     """Queue pressure, or efficient pressure with ``efficient``, per
-    signalized movement. Each distinct lane set's queue total is taken once;
-    an efficient pressure is ``sum / n`` of integer queues, which equals
-    the ``fmean`` that ``efficient_pressure`` takes."""
-    queues = state.queues
-    total = [len(queues[l]) for l in lanes.single_lanes]
-    queue = queues.__getitem__
-    total += [sum(map(len, map(queue, g))) for g in lanes.lane_groups]
+    signalized movement. Each distinct lane set's queue total is taken once,
+    from the state's ``reads``; an efficient pressure is ``sum / n`` of
+    integer queues, which equals the ``fmean`` that ``efficient_pressure``
+    takes."""
+    singles, groups, _, _ = state.reads[intersection]
+    total = list(map(len, singles))
+    total += [sum(map(len, g)) for g in groups]
     if efficient:
         return [total[e] / ne - total[x] / nx for e, x, ne, nx in lanes.ep_reads]
     return [total[e] - total[p] for e, p in lanes.mp_reads]
@@ -129,7 +136,7 @@ def phase_scores(
     """Per-phase pressures, or efficient pressures with ``efficient``:
     movement a plus movement b, phase i at position i."""
     lanes = _lanes(net, intersection)
-    score = _movement_scores(state, lanes, efficient)
+    score = _movement_scores(state, intersection, lanes, efficient)
     return tuple(score[a] + score[b] for a, b in lanes.phases)
 
 
@@ -146,7 +153,9 @@ def extract_state(
     lanes = _lanes(net, intersection)
     movements = lanes.signalized
     if kind is StateKind.PRESSURE_QUEUE or kind is StateKind.EFFICIENT_PRESSURE:
-        features = _movement_scores(state, lanes, kind is StateKind.EFFICIENT_PRESSURE)
+        features = _movement_scores(
+            state, intersection, lanes, kind is StateKind.EFFICIENT_PRESSURE
+        )
     else:  # vehicle counts: queued plus in transit, from each road's lane_stats
         downstream = kind is StateKind.PRESSURE_NV
         roads = {net.lane_index[l][0].id for m in movements for l in m.entering}
@@ -173,9 +182,9 @@ def reward(
     entering queue."""
     if not isinstance(kind, RewardKind):
         raise ConfigurationError(f"unknown reward kind {kind!r}")
-    lanes = _lanes(net, intersection)
-    queue = state.queues.__getitem__
-    entering = sum(map(len, map(queue, lanes.entering)))
+    _lanes(net, intersection)  # raises ConfigurationError on an unknown one
+    _, _, entering_lanes, exiting_lanes = state.reads[intersection]
+    entering = sum(map(len, entering_lanes))
     if kind is RewardKind.NEG_QUEUE_LENGTH:
         return -float(entering)
-    return -abs(entering - sum(map(len, map(queue, lanes.exiting))))
+    return -abs(entering - sum(map(len, exiting_lanes)))

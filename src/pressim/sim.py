@@ -20,14 +20,19 @@ trajectories tick for tick.
 
 Everything static is resolved once per ``Simulation``, from the network's
 ``lane_table`` and the configured lane capacities, and the tick loop runs
-over these tables instead of the network's lookup dicts:
+over these tables, never over a dict keyed by a lane, road or movement id:
 
-- a hop plan per flow: for each route position, the stop-line lanes that
-  the movement onto the vehicle's next road enters (``None`` on the last
-  road, which drains to a boundary). Every vehicle points at its flow's plan;
+- the state's stop-line queues in one list, by their position in the
+  network's ``lane_index`` order;
+- a hop plan per flow: for each route position, the positions of the
+  stop-line lanes that the movement onto the vehicle's next road enters
+  (``None`` on the last road, which drains to a boundary). Every vehicle
+  points at its flow's plan;
 - per intersection, the movements each phase serves and those a
   transition serves (the right turns), in movement order, because that
-  order decides which movement wins a contested downstream lane;
+  order decides which movement wins a contested downstream lane. Each
+  movement's record holds the queues of its entering lanes and its
+  service credit;
 - one record per road (``_Road``): whether it drains to a boundary, the
   capacity of its stop-line lanes, its hop (the fewest whole ticks whose
   total length reaches its travel time less 1e-9 s), the position of the
@@ -67,29 +72,36 @@ The tick loop visits only what can change on the tick:
   every candidate lane full is held, and a pop from any of its stop-line
   lanes books it for the next tick, where a head that still finds its
   lanes full holds it again;
-- a release calendar maps a tick index to the flows releasing on it, each
-  with the index of its release; a flow books its next after releasing;
+- a release calendar maps a tick index to the flows releasing on it. Each
+  flow keeps a cursor, the index k of its next release, and books that
+  release's tick after releasing;
 - a decision calendar maps a tick index to the intersections ``_poll``
   checks on it. A check leaving a signal green books the next on the tick
   its green reaches ``t_duration``, and a transition books one on the tick
   it ends. It holds for one ``controllers`` object: a new one has every
-  intersection checked.
+  intersection checked, and its controllers' ``t_duration`` turned into
+  ticks of green once.
 
 Besides two integer counters (the tick index and the next vehicle id), the
-dynamic state lives in ``state`` and in the movement credits (``_credit``).
-The tables above, the road records with their wait lists, the live masks
-and the calendars are built once, in ``__init__``, around the state's own
-deques, and the tick loop updates them with the state. Only what the tick
-loop reads is kept: a vehicle's status (finished, queued or in transit)
-and a transition's stage are worked out by ``state_digest``. State edited
-by hand, even before the first step, is not seen.
+dynamic state lives in ``state``, in the movement credits and in the flows'
+release cursors. ``SimState.for_network`` builds the state's queues
+together with the lane sets the pressure functions read (``reads``), as
+references to those queues. The tables above, the road records with their
+wait lists, the live masks and the calendars are built once, in
+``__init__``, around the state's own deques, and the tick loop updates
+them with the state. Only what the tick loop reads is kept: a vehicle's
+status (finished, queued or in transit) and a transition's stage are
+worked out by ``state_digest``. State edited by hand, even before the
+first step, is not seen.
 
 A fork is a deep copy of the whole ``Simulation``. A memo keeps the copy
 cheap by sharing what no step changes: it maps the network, the controllers
 mapping last stepped with (read by identity), the flows and their hop plans
 each to itself, and the vehicle table to a copy that shares the finished
 vehicles; a vehicle holds only immutable values, so a shallow copy of an
-unfinished one is its deep copy.
+unfinished one is its deep copy. Everything that refers to a queue, the
+state's ``reads`` among them, is copied with the queues, so the copy reads
+its own.
 """
 
 from __future__ import annotations
@@ -97,10 +109,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Deque, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Deque, Iterable, Mapping, NamedTuple, Optional, TypeVar
 
 # ConfigurationError is defined with the network and re-exported from here
 from pressim.network import ConfigurationError, RoadNetwork, load_json, parser
@@ -159,8 +172,9 @@ class Vehicle:
     route_pos: int
     entry_time: float
     exit_time: Optional[float] = None  # set when it finishes
-    # the flow's hop plan: stop-line lane candidates per route position
-    plan: tuple[Optional[tuple[str, ...]], ...] = ()
+    # the flow's hop plan: per route position, the positions of its
+    # stop-line lane candidates in the network's ``lane_index`` order
+    plan: tuple[Optional[tuple[int, ...]], ...] = ()
 
 
 @dataclass
@@ -184,23 +198,63 @@ class Counters:
     decisions: int = 0
 
 
+class LaneReads(NamedTuple):
+    """The lane sets of one intersection's lane table entry as one state's
+    queues: its one-lane sets, its lane groups, its entering lanes and its
+    exiting lanes that do not drain to a boundary."""
+
+    singles: tuple[Deque[int], ...]
+    groups: tuple[tuple[Deque[int], ...], ...]
+    entering: tuple[Deque[int], ...]
+    exiting: tuple[Deque[int], ...]
+
+
 @dataclass
 class SimState:
-    clock: float = 0.0
-    queues: dict[str, Deque[int]] = field(default_factory=dict)
+    """The dynamic state of one episode; ``for_network`` builds it."""
+
+    queues: dict[str, Deque[int]]
     # per road: (the tick it entered the road on, vehicle id), oldest first
-    transit: dict[str, Deque[tuple[int, int]]] = field(default_factory=dict)
-    signals: dict[str, SignalState] = field(default_factory=dict)
+    transit: dict[str, Deque[tuple[int, int]]]
+    signals: dict[str, SignalState]
+    # per intersection: the lane sets the pressure functions read
+    reads: dict[str, LaneReads]
+    clock: float = 0.0
     vehicles: dict[int, Vehicle] = field(default_factory=dict)
     counters: Counters = field(default_factory=Counters)
     total_queued: int = 0
     max_total_queue: int = 0
 
+    @classmethod
+    def for_network(cls, net: RoadNetwork) -> SimState:
+        """The empty state of ``net``: a queue per lane in ``lane_index``
+        order, a transit deque per road, phase 0 green everywhere, and each
+        intersection's ``reads`` built around these queues. Raises
+        ConfigurationError on a malformed network."""
+        queues: dict[str, Deque[int]] = {l: deque() for l in net.lane_index}
+
+        def read(lanes: tuple[str, ...]) -> tuple[Deque[int], ...]:
+            return tuple(map(queues.__getitem__, lanes))
+
+        return cls(
+            queues=queues,
+            transit={r.id: deque() for r in net.roads},
+            signals={i.id: SignalState() for i in net.intersections},
+            reads={
+                iid: LaneReads(read(t.single_lanes), tuple(map(read, t.lane_groups)),
+                               read(t.entering), read(t.exiting))
+                for iid, t in net.lane_table.items()
+            },
+        )
+
     def in_transit_count(self) -> int:
         return sum(len(dq) for dq in self.transit.values())
 
 
-def pick_lane(candidates: Sequence[str], load: Callable[[str], int]) -> str:
+_Lane = TypeVar("_Lane")
+
+
+def pick_lane(candidates: Iterable[_Lane], load: Callable[[_Lane], int]) -> _Lane:
     """Least-loaded candidate lane, ties to the first. Hot callers skip the
     call when there is only one candidate."""
     return min(candidates, key=load)
@@ -256,6 +310,17 @@ class _Move:
     source: _Road
     road: _Road
     solo: bool  # no other movement enters its lanes
+    credit: float = 0.0  # service credit, in vehicles
+
+
+@dataclass(slots=True, eq=False)
+class _Flow:
+    """A flow of one ``Simulation`` with its release cursor."""
+
+    spec: FlowSpec
+    road: _Road  # its entry road
+    plan: tuple[Optional[tuple[int, ...]], ...]  # its hop plan
+    k: int = 0  # the index of its next release
 
 
 class Simulation:
@@ -286,14 +351,9 @@ class Simulation:
         self._transition = _ticks_to(config.yellow + config.all_red, tick)
         self._gain = tick / config.saturation_headway
 
-        self.state = st = SimState(
-            queues={l: deque() for l in net.lane_index},
-            transit={r.id: deque() for r in net.roads},
-            signals={i: SignalState() for i in ids},
-        )
-        self._credit: dict[str, float] = {
-            m.id: 0.0 for i in net.intersections for m in i.movements
-        }
+        self.state = st = SimState.for_network(net)
+        # the state's queues by position: a hop plan's lanes index it
+        self._lanes = list(st.queues.values())
         self._ticks = 0
         self._next_vehicle_id = 0
 
@@ -307,10 +367,11 @@ class Simulation:
             )
             for r in net.roads
         }
-        # per flow route its hop plan, each hop the entering lanes of the
-        # movement linking the two roads
+        # per flow route its hop plan, each hop the positions of the
+        # entering lanes of the movement linking the two roads
+        position = {l: k for k, l in enumerate(st.queues)}
         links = {
-            (m.source_road, m.receiving_road): m.entering
+            (m.source_road, m.receiving_road): tuple(map(position.__getitem__, m.entering))
             for lanes in table.values()
             for m in lanes.movements
         }
@@ -318,8 +379,7 @@ class Simulation:
             f.route: (*(links[hop] for hop in zip(f.route, f.route[1:])), None)
             for f in self.flows
         }
-        # per flow: (entry road, hop plan, the flow)
-        self._entries = [(roads[f.route[0]], self._plans[f.route], f) for f in self.flows]
+        self._flows = [_Flow(f, roads[f.route[0]], self._plans[f.route]) for f in self.flows]
         # per intersection: its signal state, the mask of movements each phase
         # serves, the mask of those a transition serves, and its movements in
         # movement order, bit k the k-th of its lane table entry
@@ -351,13 +411,16 @@ class Simulation:
         self._checks: defaultdict[int, list[int]] = defaultdict(list)
         self._check_at = [0] * len(ids)
         self._mapping: Optional[Mapping[str, Controller]] = None  # check all at the next poll
+        # per intersection, the ticks of green due a decision under the
+        # mapping: None without a controller or with an infinite t_duration
+        self._green: list[Optional[int]] = [None] * len(ids)
         # tick -> the roads its transit pass visits; the next pass is tick
         # n + 1's, and books each road visited again on its head's due tick
         self._calendar: defaultdict[int, list[_Road]] = defaultdict(list)
-        # tick -> (flow, index k) of the next release of each flow due on it
-        self._releases: defaultdict[int, list[tuple[int, int]]] = defaultdict(list)
-        for fi, f in enumerate(self.flows):
-            self._releases[self._release_tick(f, 0)].append((fi, 0))
+        # tick -> the flows whose next release is due on it
+        self._releases: defaultdict[int, list[int]] = defaultdict(list)
+        for fi, f in enumerate(self.flows):  # release 0 is at start_s <= end_s
+            self._releases[_ticks_to(f.start_s, tick) or 1].append(fi)
 
     # -- tick ---------------------------------------------------------------
 
@@ -398,7 +461,15 @@ class Simulation:
                 self._checks[n].append(i)
 
     def set_phase(self, intersection: str, phase: int) -> None:
-        """Request a phase; no-op while a transition is underway."""
+        """Request a phase; no-op while a transition is underway. ``phase``
+        may be any integer type (a numpy integer, say); it is stored as an
+        int."""
+        try:
+            phase = operator.index(phase)
+        except TypeError:
+            raise ConfigurationError(
+                f"{intersection}: phase {phase!r} is not an integer"
+            ) from None
         sig = self.state.signals[intersection]
         n_phases = self._n_phases[intersection]
         if not 0 <= phase < n_phases:
@@ -421,39 +492,38 @@ class Simulation:
         if due is None:
             return
         st = self.state
-        now, counters, queues = st.clock, st.counters, st.queues
+        now, counters, queues = st.clock, st.counters, self._lanes
+        tick, releases = self.config.tick, self._releases
         due.sort()  # flow order
-        for fi, k in due:
-            road, plan, flow = self._entries[fi]
-            at = n
-            while at == n:  # each release of the flow due on this tick, in order of k
+        for fi in due:
+            flow = self._flows[fi]
+            spec, road, plan = flow.spec, flow.road, flow.plan
+            lanes, k = plan[0], flow.k
+            while True:  # each release of the flow due on this tick, in order of k
                 counters.spawned += 1
-                lanes = plan[0]
-                lane = lanes[0] if len(lanes) == 1 else self._pick_lane(lanes)
-                if len(queues[lane]) >= road.capacity:
+                q = queues[lanes[0]] if len(lanes) == 1 else self._pick_lane(lanes)
+                if len(q) >= road.capacity:
                     counters.blocked += 1
                 else:
                     vid = self._next_vehicle_id
                     self._next_vehicle_id += 1
-                    st.vehicles[vid] = Vehicle(vid, flow.route, 0, now, None, plan)
+                    st.vehicles[vid] = Vehicle(vid, spec.route, 0, now, None, plan)
                     dq = road.transit
                     if not dq:  # this tick's transit pass runs after the releases
                         self._calendar[n + road.hop].append(road)
                     dq.append((n, vid))
                 k += 1
-                at = self._release_tick(flow, k)
-            if at is not None:
-                self._releases[at].append((fi, k))
+                t = spec.start_s + k * spec.headway_s
+                if t > spec.end_s + _EPS:
+                    break  # that was the flow's last
+                at = _ticks_to(t, tick) or 1
+                if at != n:
+                    releases[at].append(fi)
+                    break
+            flow.k = k
 
-    def _release_tick(self, f: FlowSpec, k: int) -> Optional[int]:
-        """The tick of ``f``'s ``k``-th release, the first at or after its
-        time (tick 1 for one at 0 s); None past the flow's end."""
-        t = f.start_s + k * f.headway_s
-        return (_ticks_to(t, self.config.tick) or 1) if t <= f.end_s + _EPS else None
-
-    def _pick_lane(self, candidates: tuple[str, ...]) -> str:
-        queues = self.state.queues
-        return pick_lane(candidates, lambda lane: len(queues[lane]))
+    def _pick_lane(self, candidates: tuple[int, ...]) -> Deque[int]:
+        return pick_lane(map(self._lanes.__getitem__, candidates), len)
 
     # -- movement along roads ----------------------------------------------
 
@@ -464,7 +534,7 @@ class Simulation:
             return
         st = self.state
         clock = st.clock
-        queues, vehicles = st.queues, st.vehicles
+        queues, vehicles = self._lanes, st.vehicles
         calendar, live = self._calendar, self._live
         joined = finished = 0
         # roads do not interact here: a road's vehicles join only its own lanes
@@ -479,8 +549,7 @@ class Simulation:
                     finished += 1
                     continue
                 lanes = v.plan[v.route_pos]
-                lane = lanes[0] if len(lanes) == 1 else self._pick_lane(lanes)
-                q = queues[lane]
+                q = queues[lanes[0]] if len(lanes) == 1 else self._pick_lane(lanes)
                 if len(q) >= road.capacity:
                     # every candidate lane full: the road holds this and all
                     # behind it until one of its stop-line lanes pops
@@ -503,24 +572,27 @@ class Simulation:
         """Decide, in intersection order, where green has run ``t_duration``:
         of those the calendar holds for this tick, or of all on a new mapping."""
         n, check_at, checks = self._ticks, self._check_at, self._checks
-        due = checks.pop(n, ())
+        due = checks.pop(n, None)
+        ids, greens = self._intersection_ids, self._green
         if controllers is not self._mapping:
             self._mapping, due = controllers, range(len(check_at))
-        elif due:  # an entry is stale once a later event booked another check
+            tick = self.config.tick
+            for i, iid in enumerate(ids):
+                ctrl = controllers.get(iid)
+                t_duration = math.inf if ctrl is None else ctrl.t_duration
+                greens[i] = None if t_duration == math.inf else _ticks_to(t_duration, tick)
+        elif due is None:
+            return
+        else:  # an entry is stale once a later event booked another check
             due = sorted({i for i in due if check_at[i] == n})
-        st, net, signals, ids = self.state, self.net, self._signals, self._intersection_ids
-        tick = self.config.tick
+        st, net, signals = self.state, self.net, self._signals
         for i in due:
-            iid = ids[i]
-            ctrl = controllers.get(iid)
-            sig = signals[i]
-            if ctrl is None or sig.transition is not None:
-                continue  # a transition schedules a check when it ends
-            t_duration = ctrl.t_duration
-            if t_duration == math.inf:
-                continue  # never due
-            green = _ticks_to(t_duration, tick)  # ticks of green due a decision
+            green, sig = greens[i], signals[i]
+            if green is None or sig.transition is not None:
+                continue  # never due; a transition schedules a check when it ends
             if sig.elapsed >= green:
+                iid = ids[i]
+                ctrl = controllers[iid]
                 action = ctrl.decide(ctrl.observe(st, net, iid), iid)
                 st.counters.decisions += 1
                 self.set_phase(iid, action)
@@ -534,9 +606,8 @@ class Simulation:
 
     def _discharge(self) -> None:
         st = self.state
-        queues, vehicles = st.queues, st.vehicles
-        credit, live = self._credit, self._live
-        calendar, n = self._calendar, self._ticks
+        queues, vehicles = self._lanes, st.vehicles
+        live, calendar, n = self._live, self._calendar, self._ticks
         positions = self._positions
         gain = self._gain
         ready = 1.0 - _EPS
@@ -549,7 +620,7 @@ class Simulation:
                 ks = positions[bits] = _bit_positions(bits)
             for k in ks:  # lowest bit first: movement order
                 mv = moves[k]
-                c = credit[mv.id]
+                c = mv.credit
                 for q in mv.lanes:
                     if q:
                         break
@@ -557,9 +628,9 @@ class Simulation:
                     if c < 1.0:  # the movement sleeps until a vehicle joins
                         c += gain
                         if c < 1.0:
-                            credit[mv.id] = c
+                            mv.credit = c
                             continue
-                        credit[mv.id] = 1.0
+                        mv.credit = 1.0
                     live[ii] ^= mv.bit
                     continue
                 c += gain
@@ -574,8 +645,8 @@ class Simulation:
                             continue
                         if not road.sink:
                             lanes = v.plan[pos]
-                            target = lanes[0] if len(lanes) == 1 else self._pick_lane(lanes)
-                            if len(queues[target]) >= road.capacity:
+                            target = queues[lanes[0]] if len(lanes) == 1 else self._pick_lane(lanes)
+                            if len(target) >= road.capacity:
                                 continue
                         break
                     else:  # no head can go
@@ -604,7 +675,7 @@ class Simulation:
                         source.held = False
                         calendar[n + 1].append(source)
                     c -= 1.0
-                credit[mv.id] = c if c < 1.0 else 1.0
+                mv.credit = c if c < 1.0 else 1.0
 
     # -- inspection ---------------------------------------------------------
 
@@ -651,7 +722,9 @@ class Simulation:
                 for r, dq in sorted(st.transit.items())
             },
             "signals": {i: signal(s) for i, s in sorted(st.signals.items())},
-            "credit": {m: round(c, 9) for m, c in sorted(self._credit.items())},
+            "credit": dict(sorted(
+                (mv.id, round(mv.credit, 9)) for *_, moves in self._junctions for mv in moves
+            )),
             "vehicles": [
                 [v.id, v.route_pos,
                  "finished" if v.exit_time is not None

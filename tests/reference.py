@@ -198,28 +198,27 @@ class AwakeSimulation(Simulation):
                     v.exit_time = st.clock
                     st.counters.finished += 1
                     continue
-                lanes = v.plan[v.route_pos]
-                lane = self._pick_lane(lanes)
-                if len(st.queues[lane]) >= road.capacity:
+                q = self._pick_lane(v.plan[v.route_pos])
+                if len(q) >= road.capacity:
                     road.held = True
                     break
                 dq.popleft()
-                st.queues[lane].append(v.id)
+                q.append(v.id)
                 st.total_queued += 1
                 self._live[road.junction] |= road.feeds
 
     def _discharge(self) -> None:
         st = self.state
-        credit, live, n = self._credit, self._live, self._ticks
+        live, n = self._live, self._ticks
         for ii, (sig, by_phase, in_transition, moves) in enumerate(self._junctions):
             served = by_phase[sig.active] if sig.transition is None else in_transition
             for mv in moves:
                 if not live[ii] & served & mv.bit:
                     continue
-                c = credit[mv.id] + self._gain
+                c = mv.credit + self._gain
                 road = mv.road
                 if not any(mv.lanes):
-                    credit[mv.id] = min(c, 1.0)
+                    mv.credit = min(c, 1.0)
                     if c >= 1.0:
                         live[ii] &= ~mv.bit
                     continue
@@ -231,7 +230,7 @@ class AwakeSimulation(Simulation):
                         pos = v.route_pos + 1
                         if v.route[pos] != road.id:
                             continue
-                        if road.sink or len(st.queues[self._pick_lane(v.plan[pos])]) < road.capacity:
+                        if road.sink or len(self._pick_lane(v.plan[pos])) < road.capacity:
                             break
                     else:
                         break
@@ -245,7 +244,7 @@ class AwakeSimulation(Simulation):
                         mv.source.held = False
                         self._calendar[n + 1].append(mv.source)
                     c -= 1.0
-                credit[mv.id] = min(c, 1.0)
+                mv.credit = min(c, 1.0)
 
 
 # -- the learner's oracles ---------------------------------------------------

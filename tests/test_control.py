@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import random
-from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +14,7 @@ from pressim.control import (
     make_controllers,
 )
 from pressim.network import Phase, build_grid
-from pressim.sim import ConfigurationError, FlowSpec, SignalState, SimConfig, SimState, Simulation
+from pressim.sim import ConfigurationError, FlowSpec, SimConfig, SimState, Simulation
 from reference import PressureReport, efficient_mp_decide, mp_decide, pressure_report
 
 
@@ -92,11 +91,9 @@ def test_decisions_invariant_to_uniform_queue_scaling(data, scale):
     )
 
     def state_for(mult: int) -> SimState:
-        stt = SimState(
-            queues={l: deque(range(c * mult)) for l, c in zip(lanes, counts)},
-            transit={r.id: deque() for r in net.roads},
-            signals={i.id: SignalState() for i in net.intersections},
-        )
+        stt = SimState.for_network(net)
+        for l, c in zip(lanes, counts):
+            stt.queues[l].extend(range(c * mult))
         return stt
 
     for iid in ("n0_0", "n0_1"):
@@ -129,11 +126,9 @@ def test_mp_and_emp_identical_on_single_lane_network():
     net = build_grid(2, 2, 300.0, 300.0, lanes_per_approach=1)
     lanes = sorted(net.lane_index)
     for _ in range(100):
-        stt = SimState(
-            queues={l: deque(range(random.randint(0, 8))) for l in lanes},
-            transit={r.id: deque() for r in net.roads},
-            signals={i.id: SignalState() for i in net.intersections},
-        )
+        stt = SimState.for_network(net)
+        for l in lanes:
+            stt.queues[l].extend(range(random.randint(0, 8)))
         for inter in net.intersections:
             r = pressure_report(stt, net, inter.id)
             assert mp_decide(r, inter.phases) == efficient_mp_decide(r, inter.phases)

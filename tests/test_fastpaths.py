@@ -10,18 +10,18 @@ from __future__ import annotations
 
 import gc
 import random
-from collections import deque
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pressim.bench import Asymmetric, generate_synthetic_demand
+from pressim.control import make_controllers
 from pressim.network import PhaseScheme, build_grid, network_from_dict, network_to_dict
 from pressim.pressure import RewardKind, StateKind, extract_state, phase_scores, reward
 from pressim.sim import (
     ConfigurationError,
     FlowSpec,
-    SignalState,
     SimConfig,
     SimState,
     Simulation,
@@ -66,11 +66,10 @@ _GRIDS["loaded", PhaseScheme.FOUR] = _loaded_grid()
 
 
 def _state(net, counts) -> SimState:
-    return SimState(
-        queues={l: deque(range(n)) for l, n in zip(sorted(net.lane_index), counts)},
-        transit={r.id: deque() for r in net.roads},
-        signals={i.id: SignalState() for i in net.intersections},
-    )
+    state = SimState.for_network(net)
+    for l, n in zip(sorted(net.lane_index), counts):
+        state.queues[l].extend(range(n))
+    return state
 
 
 @settings(max_examples=40, deadline=None)
@@ -83,7 +82,10 @@ def test_phase_scores_equal_pressure_report(data, grid):
     counts = data.draw(
         st.lists(st.integers(0, 40), min_size=len(net.lane_index), max_size=len(net.lane_index))
     )
-    state = _state(net, counts)
+    _assert_reads_equal_the_reference(_state(net, counts), net)
+
+
+def _assert_reads_equal_the_reference(state, net):
     for inter in net.intersections:
         report = pressure_report(state, net, inter.id)
         assert phase_scores(state, net, inter.id) == report.phase_pressures
@@ -105,6 +107,27 @@ def test_phase_scores_equal_pressure_report(data, grid):
         assert reward(state, net, inter.id, RewardKind.NEG_QUEUE_LENGTH) == -sum(
             len(state.queues[l]) for l in inter.entering_lanes
         )
+
+
+def test_a_fork_reads_its_own_queues():
+    """A fork of a mid-episode efficient-mp run, set apart from the
+    original by one phase request: after both step on, each side's
+    pressure reads equal the reference over its own queues."""
+    net = _GRIDS["loaded", PhaseScheme.FOUR]
+    flows = generate_synthetic_demand(net, Asymmetric(0.3, 0.15), 0, 600.0)
+    sim = Simulation(net, flows, SimConfig(lane_capacity=6, episode_length=600.0))
+    controllers = make_controllers(net, "efficient-mp")
+    for _ in range(200):
+        sim.step(controllers)
+    fork = _fork(sim)
+    iid, sig = next((i, s) for i, s in fork.state.signals.items() if s.transition is None)
+    fork.set_phase(iid, (sig.active + 1) % 4)
+    for _ in range(30):
+        sim.step(controllers)
+        fork.step(controllers)
+    assert sim.state.queues != fork.state.queues
+    for side in (sim, fork):
+        _assert_reads_equal_the_reference(side.state, net)
 
 
 def test_loaded_grid_has_multi_lane_sets():

@@ -58,3 +58,26 @@ def test_every_public_definition_is_used_in_the_library():
         and not any(d.name in names for s, names in uses.items() if s is not d)
     ]
     assert unused == []
+
+
+# The tick loop and the pressure reads reach queues and service credits
+# through references resolved once, never through a string-keyed dict.
+RESOLVED_READERS = {
+    "sim.py": {"_spawn", "_advance_transit", "_discharge"},
+    "pressure.py": {"_movement_scores", "reward"},
+}
+
+
+def test_hot_paths_read_no_queue_or_credit_dict():
+    found, offending = set(), []
+    for module, names in RESOLVED_READERS.items():
+        for fn in ast.walk(ast.parse((SRC / module).read_text())):
+            if isinstance(fn, ast.FunctionDef) and fn.name in names:
+                found.add(fn.name)
+                offending += [
+                    f"{module}:{node.lineno} {fn.name} reads .{node.attr}"
+                    for node in ast.walk(fn)
+                    if isinstance(node, ast.Attribute) and node.attr in {"queues", "_credit"}
+                ]
+    assert found == set().union(*RESOLVED_READERS.values())
+    assert offending == []

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-from collections import deque
 from itertools import combinations
 
 import numpy as np
@@ -22,7 +21,7 @@ from pressim.pressure import (
     phase_pressure,
     reward,
 )
-from pressim.sim import ConfigurationError, SignalState, SimConfig, SimState, Simulation, Vehicle
+from pressim.sim import ConfigurationError, SimConfig, SimState, Simulation, Vehicle
 from reference import (
     downstream_queue,
     etm_efficient_pressure,
@@ -35,11 +34,7 @@ from reference import (
 
 
 def make_state(net: RoadNetwork, queues: dict[str, int] | None = None) -> SimState:
-    st = SimState(
-        queues={l: deque() for l in net.lane_index},
-        transit={r.id: deque() for r in net.roads},
-        signals={i.id: SignalState() for i in net.intersections},
-    )
+    st = SimState.for_network(net)
     vid = 0
     for lane, n in (queues or {}).items():
         for _ in range(n):
@@ -58,12 +53,13 @@ def split(obs, net: RoadNetwork, intersection: str) -> tuple[tuple, tuple]:
 def add_transit(st: SimState, net: RoadNetwork, road_id: str, next_road: str) -> None:
     """An in-transit vehicle with the hop plan a simulation gives it."""
     vid = max(st.vehicles, default=-1) + 1
-    lanes = next(
+    entering = next(
         m.entering
         for table in net.lane_table.values()
         for m in table.movements
         if (m.source_road, m.receiving_road) == (road_id, next_road)
     )
+    lanes = tuple(map(list(net.lane_index).index, entering))  # positions, as in a plan
     st.vehicles[vid] = Vehicle(
         id=vid, route=(road_id, next_road), route_pos=0, entry_time=0.0, plan=(lanes, None)
     )

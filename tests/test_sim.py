@@ -4,6 +4,7 @@ import itertools
 import random
 from collections import deque
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -239,6 +240,44 @@ def test_set_phase_ignored_during_transition():
     assert sig.transition is not None and sig.transition.next_phase == 1
     sim.set_phase("n0_0", 2)  # ignored: transition underway
     assert sig.transition.next_phase == 1
+
+
+class ArgmaxPressure(PressureController):
+    """Efficient max pressure that decides by ``np.argmax``, returning its
+    numpy integer or, with ``as_int``, a plain int."""
+
+    def __init__(self, as_int: bool):
+        super().__init__(ControllerConfig(10.0), efficient=True)
+        self.as_int = as_int
+
+    def decide(self, observation, intersection):
+        phase = np.argmax(observation)
+        return int(phase) if self.as_int else phase
+
+
+def test_set_phase_stores_a_numpy_integer_as_an_int():
+    net = build_grid(2, 2, 300.0, 300.0)
+    flows = generate_synthetic_demand(net, Uniform(0.1), 0, 300.0)
+    digests = []
+    for as_int in (True, False):
+        sim = Simulation(net, flows, SimConfig(episode_length=300.0))
+        ctrl = ArgmaxPressure(as_int)
+        sim.run({i.id: ctrl for i in net.intersections})
+        for sig in sim.state.signals.values():
+            assert type(sig.active) is int
+            assert sig.transition is None or type(sig.transition.next_phase) is int
+        digests.append(sim.state_digest())
+    assert sim.state.counters.decisions > 0
+    assert digests[0] == digests[1]
+
+
+def test_set_phase_refuses_a_phase_that_is_not_an_integer():
+    sim = Simulation(one_by_one(), [], SimConfig())
+    for phase in (1.0, "1", None):
+        with pytest.raises(ConfigurationError, match="not an integer"):
+            sim.set_phase("n0_0", phase)
+    with pytest.raises(ConfigurationError, match="not an integer"):
+        sim.run({"n0_0": ConstantPhase(1.0)})  # refused at its first decision
 
 
 def test_zero_duration_transition_switches_immediately():
@@ -519,6 +558,7 @@ def test_transit_pass_leaves_no_due_head_that_could_move(tick, length, seed):
     config = SimConfig(tick=tick, episode_length=200.0, lane_capacity=3)
     sim = Simulation(net, flows, config)
     advance = sim._advance_transit
+    lane_ids = list(net.lane_index)  # a hop plan holds positions in this order
 
     def checked_transit():
         advance()
@@ -531,7 +571,7 @@ def test_transit_pass_leaves_no_due_head_that_could_move(tick, length, seed):
                 continue
             assert not net.terminal(road), road
             v = state.vehicles[dq[0][1]]
-            assert min(len(state.queues[lane]) for lane in v.plan[v.route_pos]) >= 3, road
+            assert min(len(state.queues[lane_ids[k]]) for k in v.plan[v.route_pos]) >= 3, road
 
     sim._advance_transit = checked_transit
     ctrl = RandomPhase(4, seed=seed, t_duration=7.0)
@@ -700,12 +740,13 @@ def test_blocked_solo_movement_sleeps_until_its_downstream_lane_pops():
     sim = Simulation(net, [FlowSpec(route, 1.0, 600.0, 2.0)], SimConfig(episode_length=600.0))
     sim.set_phase("n0_0", 1)  # east-west through; n0_1 keeps north-south
     bit = 1 << [m.id for m in net.lane_table["n0_0"].movements].index("n0_0:WT")
+    through = next(mv for mv in sim._junctions[0][3] if mv.id == "n0_0:WT")
     entering = sim.state.queues["boundary:W0__n0_0#1"]
     downstream = sim.state.queues["n0_0__n0_1#1"]
     for _ in range(300):
         sim.step({})
         # full credit at the end of a tick with a head waiting: its visit failed
-        if entering and sim._credit["n0_0:WT"] == 1.0:
+        if entering and through.credit == 1.0:
             break
     assert len(downstream) == 10
     assert not sim._live[0] & bit
@@ -734,6 +775,7 @@ def test_sleepers_wait_on_their_receiving_road():
     flows = generate_synthetic_demand(net, Asymmetric(0.3, 0.15), 2, 600.0)
     sim = Simulation(net, flows, SimConfig(lane_capacity=4, episode_length=600.0))
     controllers = make_controllers(net, "efficient-mp", ControllerConfig(9.0))
+    lane_ids = list(net.lane_index)  # a hop plan holds positions in this order
     sleeps = holds = 0
     for _ in range(600):
         sim.step(controllers)
@@ -755,6 +797,6 @@ def test_sleepers_wait_on_their_receiving_road():
                 assert arrival <= sim.state.clock + 1e-9
                 v = vehicles[vid]
                 lanes = v.plan[v.route_pos]
-                assert all(len(sim.state.queues[lane]) >= road.capacity for lane in lanes)
+                assert all(len(sim.state.queues[lane_ids[k]]) >= road.capacity for k in lanes)
     assert sleeps > 0 and holds > 0
 
