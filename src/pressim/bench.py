@@ -408,14 +408,26 @@ def _apply_sweep(
     return scenario, dataclasses.replace(spec, learner=learner), label
 
 
-def _run_cell(
-    args: tuple[Scenario, ControllerSpec, int, str, Optional[str]],
-) -> tuple[list[RunReport], Optional[str], Optional[float]]:
-    """Execute one cell; returns (episode reports, error, cell value). A
-    cell whose every episode had no vehicles has no value."""
-    scenario, spec, seed, label, out_dir = args
+# a (scenario, seed)'s flows, or the traceback of the failure to make them
+Demand = Union[list[FlowSpec], str]
+
+
+def _demand(scenario: Scenario, seed: int) -> Demand:
     try:
-        flows = scenario.flows_for_seed(seed)
+        return scenario.flows_for_seed(seed)
+    except Exception:
+        return traceback.format_exc(limit=10)
+
+
+def _run_cell(
+    args: tuple[Scenario, ControllerSpec, int, str, Demand, Optional[str]],
+) -> tuple[list[RunReport], Optional[str], Optional[float]]:
+    """Execute one cell on its demand; returns (episode reports, error, cell
+    value). A cell whose every episode had no vehicles has no value."""
+    scenario, spec, seed, label, flows, out_dir = args
+    if isinstance(flows, str):  # the demand failed, and with it every cell on it
+        return [], flows, None
+    try:
         if spec.name == "rl":
             from pressim.rl import evaluation_travel_time, save_parameters, train
 
@@ -447,15 +459,20 @@ def _run_cell(
 
 def run_experiment(plan: ExperimentPlan) -> ExperimentResult:
     sweep_values = plan.sweep.values if plan.sweep else (None,)
-    jobs: list[tuple[Scenario, ControllerSpec, int, str, Optional[str]]] = []
+    jobs: list[tuple[Scenario, ControllerSpec, int, str, Demand, Optional[str]]] = []
     if plan.out_dir is not None:
         Path(plan.out_dir).mkdir(parents=True, exist_ok=True)
     for scenario in plan.scenarios:
+        # no sweep changes a road or a route: a seed's flows serve all its cells
+        demand = {seed: _demand(scenario, seed) for seed in plan.seeds}
         for value in sweep_values:
+            sc = scenario
             for spec in plan.controllers:
-                sc, sp, label = _apply_sweep(scenario, spec, plan.sweep, value)
+                # a phases sweep re-phases the network for the value's first
+                # controller; with_phase_scheme hands that network back as it is
+                sc, sp, label = _apply_sweep(sc, spec, plan.sweep, value)
                 for seed in plan.seeds:
-                    jobs.append((sc, sp, seed, label, plan.out_dir))
+                    jobs.append((sc, sp, seed, label, demand[seed], plan.out_dir))
 
     if plan.jobs > 1:
         with ProcessPoolExecutor(max_workers=plan.jobs) as pool:
@@ -464,7 +481,7 @@ def run_experiment(plan: ExperimentPlan) -> ExperimentResult:
         outcomes = [_run_cell(j) for j in jobs]
 
     result = ExperimentResult(reports=[], cells=[], failures=[])
-    for (scenario, spec, seed, label, _), (reports, error, value) in zip(jobs, outcomes):
+    for (scenario, spec, seed, label, *_), (reports, error, value) in zip(jobs, outcomes):
         if error is not None:
             result.failures.append(
                 CellFailure(label, spec.display, seed, error)

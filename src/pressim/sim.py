@@ -41,19 +41,21 @@ over these tables, never over a dict keyed by a lane, road or movement id:
   road is held, and its wait list.
 
 Time is counted in whole ticks. The clock after tick n is ``n * tick``; a
-green's age and a transition's time left, yellow and all-red together, are
-tick counts; a road's transit deque holds each vehicle with the tick it
-entered the road on, and one that enters on tick n reaches its stop line on
-tick n + hop; and each requested release goes out on the first tick at or
-after its time, in flow order within a tick, because vehicle ids follow it
-(``FlowSpec``).
+signal holds the tick its green began on and a transition the tick its
+yellow and all-red end on, so a green's age on tick n is n less its start,
+frozen while a transition runs; a road's transit deque holds each vehicle
+with the tick it entered the road on, and one that enters on tick n
+reaches its stop line on tick n + hop; and each requested release goes out
+on the first tick at or after its time, in flow order within a tick,
+because vehicle ids follow it (``FlowSpec``).
 
 The tick loop visits only what can change on the tick:
 
 - each intersection keeps an int bitmask of live movements, bit k for the
   k-th movement of its lane table entry. Discharge visits the live
   movements the running phase (or transition) serves, lowest bit first,
-  which is movement order. A visit that finds the service credit full puts
+  which is movement order, with a mask's bit positions from one memo for
+  every ``Simulation``. A visit that finds the service credit full puts
   a movement to sleep when a further visit could change nothing: when its
   entering lanes are empty, until a vehicle joins an empty one; or, if it
   is solo (no other movement enters its lanes), when no head can go, until
@@ -75,6 +77,9 @@ The tick loop visits only what can change on the tick:
 - a release calendar maps a tick index to the flows releasing on it. Each
   flow keeps a cursor, the index k of its next release, and books that
   release's tick after releasing;
+- a switch calendar maps a tick index to the intersections whose
+  transition ends on it, booked by ``set_phase`` when the transition
+  starts, so no tick walks every signal;
 - a decision calendar maps a tick index to the intersections ``_poll``
   checks on it. A check leaving a signal green books the next on the tick
   its green reaches ``t_duration``, and a transition books one on the tick
@@ -90,9 +95,9 @@ references to those queues. The tables above, the road records with their
 wait lists, the live masks and the calendars are built once, in
 ``__init__``, around the state's own deques, and the tick loop updates
 them with the state. Only what the tick loop reads is kept: a vehicle's
-status (finished, queued or in transit) and a transition's stage are
-worked out by ``state_digest``. State edited by hand, even before the
-first step, is not seen.
+status (finished, queued or in transit), a green's age and a transition's
+stage are worked out by ``state_digest``. State edited by hand, even
+before the first step, is not seen.
 
 A fork is a deep copy of the whole ``Simulation``. A memo keeps the copy
 cheap by sharing what no step changes: it maps the network, the controllers
@@ -179,14 +184,14 @@ class Vehicle:
 
 @dataclass
 class Transition:
-    remaining: int  # ticks left of yellow and all-red
+    ends: int  # the tick its yellow and all-red end on
     next_phase: int
 
 
 @dataclass
 class SignalState:
     active: int = 0
-    elapsed: int = 0  # ticks of green
+    since: int = 0  # the tick its green began on
     transition: Optional[Transition] = None
 
 
@@ -278,6 +283,11 @@ def _bit_positions(bits: int) -> tuple[int, ...]:
     return tuple(k for k in range(bits.bit_length()) if bits >> k & 1)
 
 
+# bitmask -> _bit_positions(bitmask), for every Simulation: a movement mask
+# has a bit per movement of one intersection, so the memo stays small
+_POSITIONS: dict[int, tuple[int, ...]] = {}
+
+
 # records are compared by identity, never field by field through their deques
 @dataclass(slots=True, eq=False)
 class _Road:
@@ -329,7 +339,8 @@ class Simulation:
     Construct a fresh instance per episode; the constructor checks the
     network and the flows against it, and raises ConfigurationError on a
     malformed network or any broken route. ``step(controllers)`` advances
-    one tick; controllers is a mapping from intersection id to a controller
+    one tick and ``run(controllers)`` to the end of the episode, through one
+    tick loop; controllers is a mapping from intersection id to a controller
     (missing ids keep phase 0 forever).
     """
 
@@ -344,7 +355,10 @@ class Simulation:
 
         tick, cap = config.tick, config.lane_capacity
         self._intersection_ids = ids = [i.id for i in net.intersections]
-        self._n_phases = {i.id: len(i.phases) for i in net.intersections}
+        # per intersection id: its position and its phase count
+        self._intersections = {
+            i.id: (ii, len(i.phases)) for ii, i in enumerate(net.intersections)
+        }
         self._episode_ticks = _ticks_to(config.episode_length, tick)
         # a transition's ticks of yellow and all-red: it ends on the first
         # tick at or after yellow + all_red from its start
@@ -405,9 +419,10 @@ class Simulation:
             self._junctions.append((st.signals[inter.id], by_phase, in_transition, tuple(moves)))
         # per intersection the mask of its live movements: at first, all
         self._live = [(1 << len(moves)) - 1 for *_, moves in self._junctions]
-        self._positions: dict[int, tuple[int, ...]] = {}  # bitmask -> _bit_positions(bitmask)
-        # tick -> the intersections _poll checks; per intersection its last booked check
         self._signals = [st.signals[iid] for iid in ids]
+        # tick -> the intersections whose transition ends on it
+        self._switches: defaultdict[int, list[int]] = defaultdict(list)
+        # tick -> the intersections _poll checks; per intersection its last booked check
         self._checks: defaultdict[int, list[int]] = defaultdict(list)
         self._check_at = [0] * len(ids)
         self._mapping: Optional[Mapping[str, Controller]] = None  # check all at the next poll
@@ -428,37 +443,44 @@ class Simulation:
         """Advance one tick. ``controllers`` is read by identity: a changed
         mapping, or a changed ``t_duration``, must come as a new mapping
         object. ``set_phase`` may be called between steps."""
-        st = self.state
-        self._ticks += 1
-        st.clock = self._ticks * self.config.tick
-        self._advance_signals()
-        self._spawn()
-        self._advance_transit()
-        self._poll(controllers)
-        self._discharge()
-        if st.total_queued > st.max_total_queue:
-            st.max_total_queue = st.total_queued
+        self._advance(controllers, self._ticks + 1)
 
     def run(self, controllers: Mapping[str, Controller]) -> None:
-        while self._ticks < self._episode_ticks:
-            self.step(controllers)
+        """Step to the end of the episode."""
+        self._advance(controllers, self._episode_ticks)
+
+    def _advance(self, controllers: Mapping[str, Controller], last: int) -> None:
+        """Run the ticks up to tick ``last``, the tick loop of ``step`` and
+        ``run``."""
+        st, tick, n = self.state, self.config.tick, self._ticks
+        signals, spawn, transit = self._advance_signals, self._spawn, self._advance_transit
+        poll, discharge = self._poll, self._discharge
+        while n < last:
+            self._ticks = n = n + 1
+            st.clock = n * tick
+            signals()
+            spawn()
+            transit()
+            poll(controllers)
+            discharge()
+            if st.total_queued > st.max_total_queue:
+                st.max_total_queue = st.total_queued
 
     # -- signal timing ------------------------------------------------------
 
     def _advance_signals(self) -> None:
         n = self._ticks
-        for i, sig in enumerate(self._signals):
-            tr = sig.transition
-            if tr is None:
-                sig.elapsed += 1
-                continue
-            tr.remaining -= 1
-            if tr.remaining == 0:  # green again: check it on this tick
-                sig.active = tr.next_phase
-                sig.elapsed = 0
-                sig.transition = None
-                self._check_at[i] = n
-                self._checks[n].append(i)
+        due = self._switches.pop(n, None)
+        if due is None:
+            return
+        signals, check_at, checks = self._signals, self._check_at, self._checks[n]
+        for i in due:  # green again: check it on this tick
+            sig = signals[i]
+            sig.active = sig.transition.next_phase
+            sig.since = n
+            sig.transition = None
+            check_at[i] = n
+            checks.append(i)
 
     def set_phase(self, intersection: str, phase: int) -> None:
         """Request a phase; no-op while a transition is underway. ``phase``
@@ -470,19 +492,24 @@ class Simulation:
             raise ConfigurationError(
                 f"{intersection}: phase {phase!r} is not an integer"
             ) from None
-        sig = self.state.signals[intersection]
-        n_phases = self._n_phases[intersection]
+        try:
+            i, n_phases = self._intersections[intersection]
+        except KeyError:
+            raise ConfigurationError(f"unknown intersection {intersection!r}") from None
         if not 0 <= phase < n_phases:
             raise ConfigurationError(
                 f"{intersection}: phase {phase} out of range 0..{n_phases - 1}"
             )
+        sig = self._signals[i]
         if sig.transition is not None:
             return
         if phase == sig.active or not self._transition:  # green anew at once
             sig.active = phase
-            sig.elapsed = 0
+            sig.since = self._ticks
         else:
-            sig.transition = Transition(self._transition, phase)
+            ends = self._ticks + self._transition
+            sig.transition = Transition(ends, phase)
+            self._switches[ends].append(i)
 
     # -- demand -------------------------------------------------------------
 
@@ -590,7 +617,7 @@ class Simulation:
             green, sig = greens[i], signals[i]
             if green is None or sig.transition is not None:
                 continue  # never due; a transition schedules a check when it ends
-            if sig.elapsed >= green:
+            if n - sig.since >= green:
                 iid = ids[i]
                 ctrl = controllers[iid]
                 action = ctrl.decide(ctrl.observe(st, net, iid), iid)
@@ -598,7 +625,7 @@ class Simulation:
                 self.set_phase(iid, action)
                 if sig.transition is not None:
                     continue
-            wait = green - sig.elapsed
+            wait = sig.since + green - n
             check_at[i] = at = n + (wait if wait > 1 else 1)
             checks[at].append(i)
 
@@ -608,7 +635,7 @@ class Simulation:
         st = self.state
         queues, vehicles = self._lanes, st.vehicles
         live, calendar, n = self._live, self._calendar, self._ticks
-        positions = self._positions
+        positions = _POSITIONS
         gain = self._gain
         ready = 1.0 - _EPS
         for ii, (sig, by_phase, in_transition, moves) in enumerate(self._junctions):
@@ -696,19 +723,21 @@ class Simulation:
         arrival time, the tick it entered its road on plus the road's travel
         time; a transition by its stage, yellow until the all-red's ticks
         are left; and each vehicle's status."""
-        st, tick = self.state, self.config.tick
+        st, tick, n = self.state, self.config.tick, self._ticks
         red = self._transition - _ticks_to(self.config.yellow, tick)  # ticks of all-red
 
         def signal(s: SignalState) -> list:
             tr = s.transition
             if tr is None:
-                return [s.active, round(s.elapsed * tick, 9), None, None, None]
-            yellow = tr.remaining > red
+                return [s.active, round((n - s.since) * tick, 9), None, None, None]
+            left = tr.ends - n  # ticks of yellow and all-red
+            yellow = left > red
             return [
                 s.active,
-                round(s.elapsed * tick, 9),
+                # a transition freezes the green's age at its start
+                round((tr.ends - self._transition - s.since) * tick, 9),
                 "yellow" if yellow else "all_red",
-                round((tr.remaining - red if yellow else tr.remaining) * tick, 9),
+                round((left - red if yellow else left) * tick, 9),
                 tr.next_phase,
             ]
 

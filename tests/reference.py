@@ -164,7 +164,8 @@ class ScanSimulation(Simulation):
             if ctrl is None:
                 continue
             sig = signals[iid]
-            if sig.transition is not None or sig.elapsed * tick < ctrl.t_duration - _EPS:
+            if (sig.transition is not None
+                    or (self._ticks - sig.since) * tick < ctrl.t_duration - _EPS):
                 continue
             obs = ctrl.observe(st, net, iid)
             action = ctrl.decide(obs, iid)

@@ -433,6 +433,41 @@ def test_phase_scheme_sweep_swaps_the_network():
     assert atts["g[phases=4]"] != atts["g[phases=8]"]
 
 
+def test_phase_sweep_cells_run_on_their_own_networks_demand(monkeypatch):
+    """Each (scenario, seed)'s flows are made once and serve every cell on
+    it: they must be what each cell's re-phased network would generate. A
+    phases sweep re-phases once per value."""
+    import pressim.bench as bench
+
+    profile = Uniform(0.1)
+    scenario = Scenario(id="g", net=build_grid(1, 1, 300.0, 300.0),
+                        sim=SimConfig(episode_length=60.0), demand=profile)
+    seeds = (0, 1)
+    runs, made = [], []
+
+    def record_run(net, flows, *args):
+        runs.append((net, flows))
+        return run_episode(net, flows, *args)
+
+    def record_demand(*args):
+        made.append(args)
+        return generate_synthetic_demand(*args)
+
+    monkeypatch.setattr(bench, "run_episode", record_run)
+    monkeypatch.setattr(bench, "generate_synthetic_demand", record_demand)
+    result = run_experiment(ExperimentPlan(
+        (scenario,), (ControllerSpec(name="fixedtime"), ControllerSpec(name="mp")), seeds,
+        sweep=Sweep(param="phases", values=(4, 8)),
+    ))
+    assert not result.failures and len(result.cells) == 8
+    assert len(made) == len(seeds)
+    # cells run in plan order: value, then controller, then seed
+    for k, (net, flows) in enumerate(runs):
+        assert net.phase_scheme is (PhaseScheme.FOUR if k < 4 else PhaseScheme.EIGHT)
+        assert flows == generate_synthetic_demand(net, profile, seeds[k % 2], 60.0)
+    assert len({id(net) for net, _ in runs}) == 2
+
+
 def test_failures_are_recorded_not_raised(tmp_path):
     net = build_grid(1, 1, 300.0, 300.0)
     broken = Scenario(id="broken", net=net)  # neither flows nor demand

@@ -154,6 +154,34 @@ def test_cell_failure_exits_one(grid_file, flows_file, monkeypatch, capsys):
     assert "FAILED cell" in capsys.readouterr().err
 
 
+def test_a_scenario_whose_demand_fails_fails_each_of_its_cells(grid_file, tmp_path,
+                                                              monkeypatch):
+    original = bench.generate_synthetic_demand
+
+    def generate(net, profile, *args):
+        if profile == bench.Uniform(0.05):
+            raise RuntimeError("no demand today")
+        return original(net, profile, *args)
+
+    monkeypatch.setattr(bench, "generate_synthetic_demand", generate)
+    out = tmp_path / "out"
+    code = main(["sweep", "--network", str(grid_file), "--demand", "uniform:0.1",
+                 "uniform:0.05", "--controllers", "fixedtime,mp", "--seeds", "0,1",
+                 "--episode-length", "60", "--out", str(out)])
+    assert code == 1
+    failed = [line for line in (out / "failures.txt").read_text().splitlines()
+              if " / seed " in line]
+    assert sorted(failed) == [
+        f"grid[demand=uniform:0.05] / {c} / seed {s}" for c in ("fixedtime", "mp") for s in (0, 1)
+    ]
+    assert "no demand today" in (out / "failures.txt").read_text()
+    with open(out / "detail.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert sorted((r["scenario"], r["controller"], r["seed"]) for r in rows) == [
+        ("grid[demand=uniform:0.1]", c, s) for c in ("fixedtime", "mp") for s in ("0", "1")
+    ]
+
+
 def test_sparse_demand_runs(grid_file):
     """At 0.01 vehicle/s most seeded first releases land past a 50 s
     episode; their flows are left out instead of failing the cell."""

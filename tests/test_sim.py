@@ -156,7 +156,7 @@ def test_transition_blocks_signalized_but_not_right_turns():
             through_before = sim.state.counters.finished
     sig = sim.state.signals["n0_0"]
     assert sig.transition is not None
-    assert sig.transition.remaining > 2  # still yellow: the last 2 ticks are all-red
+    assert sig.transition.ends - sim._ticks > 2  # still yellow: the last 2 ticks are all-red
     finished_routes = {
         v.route for v in sim.state.vehicles.values() if v.exit_time is not None
     }
@@ -233,6 +233,12 @@ def test_set_phase_rejects_unknown_phase():
         sim.set_phase("n0_0", -1)
 
 
+def test_set_phase_names_an_unknown_intersection():
+    sim = Simulation(one_by_one(), [], SimConfig())
+    with pytest.raises(ConfigurationError, match="unknown intersection 'nowhere'"):
+        sim.set_phase("nowhere", 0)
+
+
 def test_set_phase_ignored_during_transition():
     sim = Simulation(one_by_one(), [], SimConfig())
     sim.set_phase("n0_0", 1)
@@ -286,7 +292,7 @@ def test_zero_duration_transition_switches_immediately():
     sig = sim.state.signals["n0_0"]
     assert sig.transition is None
     assert sig.active == 3
-    assert sig.elapsed == 0.0
+    assert sig.since == 0
 
 
 def test_entry_blocking_counts_spawn_attempts():
