@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, TypeVar
@@ -511,71 +511,55 @@ def build_grid(
                 approach[side] = add_road(nb, nid, side)
                 exit_[side] = add_road(nid, nb, side)
 
-            movements: list[TrafficMovement] = []
-            by_key: dict[tuple[Compass, Turn], str] = {}
-            for side in _CLOCKWISE:
-                heading_in = opposite(side)
-                for turn in (Turn.THROUGH, Turn.LEFT, Turn.RIGHT):
-                    out_side = turned_heading(heading_in, turn)
-                    entering = tuple(
-                        l.id for l in approach[side].lanes if turn in l.designation
-                    )
-                    exiting = tuple(l.id for l in exit_[out_side].lanes)
-                    mid = f"{nid}:{side.value}{_TURN_CODE[turn]}"
-                    movements.append(
-                        TrafficMovement(
-                            id=mid,
-                            approach=side,
-                            turn=turn,
-                            entering=entering,
-                            exiting=exiting,
-                        )
-                    )
-                    by_key[(side, turn)] = mid
-
-            phases = tuple(
-                Phase(id=i, movements=(by_key[a], by_key[b]))
-                for i, (a, b) in enumerate(phase_table(scheme))
-            )
-            entering_lanes = frozenset(
-                l.id for road in approach.values() for l in road.lanes
-            )
-            exiting_lanes = frozenset(
-                l.id for road in exit_.values() for l in road.lanes
+            movements = tuple(
+                TrafficMovement(
+                    id=f"{nid}:{side.value}{_TURN_CODE[turn]}",
+                    approach=side,
+                    turn=turn,
+                    entering=tuple(l.id for l in approach[side].lanes if turn in l.designation),
+                    exiting=tuple(l.id for l in exit_[turned_heading(opposite(side), turn)].lanes),
+                )
+                for side in _CLOCKWISE
+                for turn in (Turn.THROUGH, Turn.LEFT, Turn.RIGHT)
             )
             intersections.append(
                 Intersection(
                     id=nid,
-                    entering_lanes=entering_lanes,
-                    exiting_lanes=exiting_lanes,
-                    movements=tuple(movements),
-                    phases=phases,
+                    entering_lanes=frozenset(l.id for rd in approach.values() for l in rd.lanes),
+                    exiting_lanes=frozenset(l.id for rd in exit_.values() for l in rd.lanes),
+                    movements=movements,
+                    phases=_scheme_phases(nid, movements, scheme),
                 )
             )
 
     return RoadNetwork(intersections, roads.values(), scheme)
 
 
+def _scheme_phases(
+    intersection: str, movements: Iterable[TrafficMovement], scheme: PhaseScheme
+) -> tuple[Phase, ...]:
+    """The phases of ``scheme`` over one intersection's movements; raises
+    ConfigurationError if the table names an (approach, turn) that none of
+    them has."""
+    by_key = {(m.approach, m.turn): m.id for m in movements}
+    table = phase_table(scheme)
+    for approach, turn in (key for pair in table for key in pair):
+        if (approach, turn) not in by_key:
+            raise ConfigurationError(
+                f"{intersection}: no movement for ({approach.value}, {turn.value}),"
+                f" which the {scheme.value} table serves"
+            )
+    return tuple(Phase(i, (by_key[a], by_key[b])) for i, (a, b) in enumerate(table))
+
+
 def with_phase_scheme(net: RoadNetwork, scheme: PhaseScheme) -> RoadNetwork:
     """Rebuild the phase tables of a 4-approach network under a new scheme."""
     if scheme is net.phase_scheme:
         return net
-    rebuilt = []
-    for inter in net.intersections:
-        by_key = {(m.approach, m.turn): m.id for m in inter.movements}
-        phases = tuple(
-            Phase(id=i, movements=(by_key[a], by_key[b]))
-            for i, (a, b) in enumerate(phase_table(scheme))
-        )
-        rebuilt.append(
-            Intersection(
-                id=inter.id,
-                entering_lanes=inter.entering_lanes,
-                exiting_lanes=inter.exiting_lanes,
-                movements=inter.movements,
-                phases=phases,
-            )
-        )
+    rebuilt = (
+        replace(inter, phases=_scheme_phases(inter.id, inter.movements, scheme))
+        for inter in net.intersections
+    )
     return RoadNetwork(rebuilt, net.roads, scheme)
 
 

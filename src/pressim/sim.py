@@ -32,7 +32,9 @@ over these tables, never over a dict keyed by a lane, road or movement id:
   transition serves (the right turns), in movement order, because that
   order decides which movement wins a contested downstream lane. Each
   movement's record holds the queues of its entering lanes and its
-  service credit;
+  service credit, an int count of 1 / ``_full`` vehicle: a served tick
+  adds ``_gain``, where ``_gain / _full`` is ``tick / saturation_headway``
+  made exact once, and a serve needs and takes ``_full``;
 - one record per road (``_Road``): whether it drains to a boundary, the
   capacity of its stop-line lanes, its hop (the fewest whole ticks whose
   total length reaches its travel time less 1e-9 s), the position of the
@@ -117,6 +119,7 @@ import math
 import operator
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field
+from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Deque, Iterable, Mapping, NamedTuple, Optional, TypeVar
 
@@ -147,8 +150,13 @@ class SimConfig:
             raise ConfigurationError("transition intervals must be non-negative and finite")
         if not 0 < self.saturation_headway < math.inf:
             raise ConfigurationError("saturation_headway must be positive and finite")
-        if self.lane_capacity is not None and self.lane_capacity < 1:
-            raise ConfigurationError("lane_capacity must be at least 1")
+        if self.lane_capacity is not None:
+            try:  # a numpy integer passes; a float, even a whole one, does not
+                too_small = operator.index(self.lane_capacity) < 1
+            except TypeError:
+                raise ConfigurationError("lane_capacity must be an integer") from None
+            if too_small:
+                raise ConfigurationError("lane_capacity must be at least 1")
         if not 0 < self.episode_length < math.inf:
             raise ConfigurationError("episode_length must be positive and finite")
 
@@ -320,7 +328,7 @@ class _Move:
     source: _Road
     road: _Road
     solo: bool  # no other movement enters its lanes
-    credit: float = 0.0  # service credit, in vehicles
+    credit: int = 0  # service credit, in units of 1 / Simulation._full vehicle
 
 
 @dataclass(slots=True, eq=False)
@@ -363,7 +371,11 @@ class Simulation:
         # a transition's ticks of yellow and all-red: it ends on the first
         # tick at or after yellow + all_red from its start
         self._transition = _ticks_to(config.yellow + config.all_red, tick)
-        self._gain = tick / config.saturation_headway
+        # a served tick's credit, tick / saturation_headway, as the exact
+        # fraction _gain / _full: a credit counts 1 / _full vehicles
+        gain = (Fraction(tick).limit_denominator(10**9)
+                / Fraction(config.saturation_headway).limit_denominator(10**9))
+        self._gain, self._full = gain.numerator, gain.denominator
 
         self.state = st = SimState.for_network(net)
         # the state's queues by position: a hop plan's lanes index it
@@ -636,8 +648,7 @@ class Simulation:
         queues, vehicles = self._lanes, st.vehicles
         live, calendar, n = self._live, self._calendar, self._ticks
         positions = _POSITIONS
-        gain = self._gain
-        ready = 1.0 - _EPS
+        gain, full = self._gain, self._full
         for ii, (sig, by_phase, in_transition, moves) in enumerate(self._junctions):
             bits = live[ii] & (by_phase[sig.active] if sig.transition is None else in_transition)
             if not bits:
@@ -647,22 +658,18 @@ class Simulation:
                 ks = positions[bits] = _bit_positions(bits)
             for k in ks:  # lowest bit first: movement order
                 mv = moves[k]
-                c = mv.credit
+                c = mv.credit + gain
                 for q in mv.lanes:
                     if q:
                         break
                 else:  # nothing waits: only the credit moves, and once full
-                    if c < 1.0:  # the movement sleeps until a vehicle joins
-                        c += gain
-                        if c < 1.0:
-                            mv.credit = c
-                            continue
-                        mv.credit = 1.0
-                    live[ii] ^= mv.bit
+                    if c >= full:  # the movement sleeps until a vehicle joins
+                        c = full
+                        live[ii] ^= mv.bit
+                    mv.credit = c
                     continue
-                c += gain
                 road = mv.road
-                while c >= ready:  # serve the first entering lane whose head can go
+                while c >= full:  # serve the first entering lane whose head can go
                     for q in mv.lanes:
                         if not q:
                             continue
@@ -677,7 +684,7 @@ class Simulation:
                                 continue
                         break
                     else:  # no head can go
-                        if c >= 1.0 and mv.solo:
+                        if mv.solo:
                             # nor can one until a stop-line lane of its
                             # receiving road pops or a vehicle joins an
                             # empty entering lane
@@ -701,8 +708,8 @@ class Simulation:
                     if source.held:  # visit it next tick
                         source.held = False
                         calendar[n + 1].append(source)
-                    c -= 1.0
-                mv.credit = c if c < 1.0 else 1.0
+                    c -= full
+                mv.credit = c if c < full else full
 
     # -- inspection ---------------------------------------------------------
 
@@ -722,7 +729,8 @@ class Simulation:
         It hashes what the state implies as well: a vehicle in transit by its
         arrival time, the tick it entered its road on plus the road's travel
         time; a transition by its stage, yellow until the all-red's ticks
-        are left; and each vehicle's status."""
+        are left; a credit as a fraction of a vehicle; and each vehicle's
+        status."""
         st, tick, n = self.state, self.config.tick, self._ticks
         red = self._transition - _ticks_to(self.config.yellow, tick)  # ticks of all-red
 
@@ -752,7 +760,8 @@ class Simulation:
             },
             "signals": {i: signal(s) for i, s in sorted(st.signals.items())},
             "credit": dict(sorted(
-                (mv.id, round(mv.credit, 9)) for *_, moves in self._junctions for mv in moves
+                (mv.id, round(mv.credit / self._full, 9))
+                for *_, moves in self._junctions for mv in moves
             )),
             "vehicles": [
                 [v.id, v.route_pos,

@@ -219,11 +219,11 @@ class AwakeSimulation(Simulation):
                 c = mv.credit + self._gain
                 road = mv.road
                 if not any(mv.lanes):
-                    mv.credit = min(c, 1.0)
-                    if c >= 1.0:
+                    mv.credit = min(c, self._full)
+                    if c >= self._full:
                         live[ii] &= ~mv.bit
                     continue
-                while c >= 1.0 - _EPS:
+                while c >= self._full:
                     for q in mv.lanes:
                         if not q:
                             continue
@@ -244,8 +244,8 @@ class AwakeSimulation(Simulation):
                     if mv.source.held:
                         mv.source.held = False
                         self._calendar[n + 1].append(mv.source)
-                    c -= 1.0
-                mv.credit = min(c, 1.0)
+                    c -= self._full
+                mv.credit = min(c, self._full)
 
 
 # -- the learner's oracles ---------------------------------------------------

@@ -233,6 +233,34 @@ def test_phase_naming_an_unknown_movement_exits_two(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "command",
+    [["run", "--phases", "8"], ["sweep", "--param", "phases", "--values", "4,8"]],
+    ids=["run", "sweep"],
+)
+def test_phase_scheme_naming_a_missing_movement_exits_two(command, tmp_path, capsys):
+    """A valid network without n0_0:NL runs as it is, but the 8-phase table
+    serves (N, left) on its own, so re-phasing it is refused."""
+    doc = network_to_dict(build_grid(1, 1, 300.0, 300.0))
+    (inter,) = doc["intersections"]
+    inter["movements"] = [m for m in inter["movements"] if m["id"] != "n0_0:NL"]
+    (nt,) = [m for m in inter["movements"] if m["id"] == "n0_0:NT"]
+    nt["entering"].append("boundary:N0__n0_0#0")
+    (road,) = [r for r in doc["roads"] if r["id"] == "boundary:N0__n0_0"]
+    road["lanes"][0]["designation"] = ["through"]
+    inter["phases"][2]["movements"] = ["n0_0:SL", "n0_0:ST"]
+    path = tmp_path / "no-north-left.json"
+    path.write_text(json.dumps(doc))
+    flags = ["--network", str(path), "--demand", "uniform:0.1", "--episode-length", "60",
+             "--seeds", "0"]
+    assert main(["run", *flags]) == 0
+    capsys.readouterr()
+    assert main([*command, *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and "Traceback" not in err
+    assert "n0_0: no movement for (N, left)" in err
+
+
+@pytest.mark.parametrize(
     "entering, violation",
     [([], "movement has empty lane set"), (["nope#0"], "unknown lanes ['nope#0']")],
 )

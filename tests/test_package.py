@@ -113,3 +113,13 @@ def test_one_tick_loop_body():
     callers = [f.name for f in _sim_functions() if any(
         isinstance(n, ast.Attribute) and n.attr == "_discharge" for n in ast.walk(f))]
     assert len(callers) == 1, callers
+
+
+def test_discharge_counts_credit_exactly():
+    """``_discharge`` keeps service credit in whole units: it holds no float
+    literal and reads no tolerance."""
+    (fn,) = [f for f in _sim_functions() if f.name == "_discharge"]
+    floats = [n.value for n in ast.walk(fn)
+              if isinstance(n, ast.Constant) and isinstance(n.value, float)]
+    assert floats == []
+    assert [n.id for n in ast.walk(fn) if isinstance(n, ast.Name) and n.id == "_EPS"] == []

@@ -437,6 +437,9 @@ def test_sim_config_validation():
         {"yellow": -1.0},
         {"saturation_headway": 0.0},
         {"lane_capacity": 0},
+        {"lane_capacity": float("nan")},
+        {"lane_capacity": float("inf")},
+        {"lane_capacity": 2.5},
         {"episode_length": 0.0},
     ):
         with pytest.raises(ConfigurationError):
@@ -445,6 +448,7 @@ def test_sim_config_validation():
         for value in (float("nan"), float("inf")):
             with pytest.raises(ConfigurationError, match="finite"):
                 SimConfig(**{name: value})
+    assert SimConfig(lane_capacity=np.int64(3)).lane_capacity == 3
 
 
 def test_flow_round_trip(tmp_path):
@@ -736,6 +740,21 @@ def test_wait_lists_match_visiting_every_live_movement(
     assert runs[0].state.counters.blocked > 0
 
 
+def test_service_credit_is_an_exact_count():
+    """A credit counts whole units of 1 / _full vehicle, tick / headway
+    being _gain of them. A float credit served once it reached 1 - 1e-9
+    would end this run at about -1e-14 on n0_0:ET and n0_0:WT, which
+    state_digest hashes as -0.0."""
+    net = build_grid(1, 1, 300.0, 300.0)
+    flows = generate_synthetic_demand(net, Asymmetric(0.12, 0.06), 1, 900.0)
+    sim = Simulation(net, flows, SimConfig(tick=0.7, saturation_headway=2.0, episode_length=900.0))
+    sim.run(make_controllers(net, "fixedtime"))
+    credits = {mv.id: mv.credit for *_, moves in sim._junctions for mv in moves}
+    assert [m for m, c in credits.items() if c < 0] == []
+    assert (sim._gain, sim._full) == (7, 20)
+    assert all(type(c) is int and c <= sim._full for c in credits.values())
+
+
 def test_blocked_solo_movement_sleeps_until_its_downstream_lane_pops():
     """n0_0's west through movement, the only one entering its lane, finds
     its downstream lane full while n0_1 shows red to that lane: it leaves
@@ -752,7 +771,7 @@ def test_blocked_solo_movement_sleeps_until_its_downstream_lane_pops():
     for _ in range(300):
         sim.step({})
         # full credit at the end of a tick with a head waiting: its visit failed
-        if entering and through.credit == 1.0:
+        if entering and through.credit == sim._full:
             break
     assert len(downstream) == 10
     assert not sim._live[0] & bit
