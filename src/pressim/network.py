@@ -18,6 +18,8 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
+from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
@@ -314,12 +316,23 @@ class Violation:
 def validate(net: RoadNetwork) -> list[Violation]:
     """Check every structural invariant; an empty list means well-formed."""
     out: list[Violation] = []
+    # each index keeps one record per id, and state_digest keys service
+    # credits by movement id, so an id is unique across the network
+    for kind, ids in (
+        ("road", [r.id for r in net.roads]),
+        ("intersection", [i.id for i in net.intersections]),
+        ("movement", [m.id for i in net.intersections for m in i.movements]),
+    ):
+        out += [Violation(x, f"duplicate {kind} id") for x, k in Counter(ids).items() if k > 1]
     entered = {l for i in net.intersections for m in i.movements for l in m.entering}
     exited = {l for i in net.intersections for m in i.movements for l in m.exiting}
 
     for road in net.roads:
         if not road.lanes:
             out.append(Violation(road.id, "road has no lanes"))
+        elif [l.index for l in road.lanes] != list(range(len(road.lanes))):
+            # a lane's id holds its index, and pairing reads a lane by it
+            out.append(Violation(road.id, "lane indices do not run 0, 1, ... in order"))
         if not 0 < road.length_m < math.inf:  # NaN fails it too
             out.append(Violation(road.id, "length must be positive and finite"))
         if not 0 < road.speed_mps < math.inf:
@@ -342,8 +355,6 @@ def validate(net: RoadNetwork) -> list[Violation]:
                 out.append(Violation(lane.id, "no movement enters this lane"))
             if not lane.designation:
                 out.append(Violation(lane.id, "lane designation is empty"))
-            if lane.index >= len(road.lanes):
-                out.append(Violation(lane.id, "lane index exceeds road lane count"))
 
     for inter in net.intersections:
         if inter.entering_lanes & inter.exiting_lanes:
@@ -553,13 +564,15 @@ def _scheme_phases(
 
 
 def with_phase_scheme(net: RoadNetwork, scheme: PhaseScheme) -> RoadNetwork:
-    """Rebuild the phase tables of a 4-approach network under a new scheme."""
-    if scheme is net.phase_scheme:
+    """A 4-approach network with the phase tables of ``scheme``: ``net``
+    itself if it is labelled with the scheme and holds its tables already,
+    else a rebuild. A label alone does not make a custom table canonical."""
+    phases = [_scheme_phases(inter.id, inter.movements, scheme) for inter in net.intersections]
+    if scheme is net.phase_scheme and all(
+        p == inter.phases for p, inter in zip(phases, net.intersections)
+    ):
         return net
-    rebuilt = (
-        replace(inter, phases=_scheme_phases(inter.id, inter.movements, scheme))
-        for inter in net.intersections
-    )
+    rebuilt = (replace(inter, phases=p) for inter, p in zip(net.intersections, phases))
     return RoadNetwork(rebuilt, net.roads, scheme)
 
 
@@ -657,15 +670,20 @@ def network_from_dict(doc: dict) -> RoadNetwork:
     roads = []
     for rdoc in doc["roads"]:
         rid = rdoc["id"]
-        lanes = tuple(
-            Lane(
-                id=f"{rid}#{l['index']}",
+        lanes = []
+        for l in rdoc["lanes"]:
+            try:  # "0" and 0.0 are refused
+                index = operator.index(l["index"])
+            except TypeError:
+                raise ConfigurationError(
+                    f"{rid}: lane index {l['index']!r} is not an integer"
+                ) from None
+            lanes.append(Lane(
+                id=f"{rid}#{index}",
                 road=rid,
-                index=l["index"],
+                index=index,
                 designation=frozenset(Turn(t) for t in l["designation"]),
-            )
-            for l in rdoc["lanes"]
-        )
+            ))
         roads.append(
             Road(
                 id=rid,
@@ -673,7 +691,7 @@ def network_from_dict(doc: dict) -> RoadNetwork:
                 dst=rdoc["to"],
                 length_m=float(rdoc["length_m"]),
                 speed_mps=float(rdoc["speed_mps"]),
-                lanes=lanes,
+                lanes=tuple(lanes),
             )
         )
 

@@ -79,15 +79,12 @@ The tick loop visits only what can change on the tick:
 - a release calendar maps a tick index to the flows releasing on it. Each
   flow keeps a cursor, the index k of its next release, and books that
   release's tick after releasing;
-- a switch calendar maps a tick index to the intersections whose
-  transition ends on it, booked by ``set_phase`` when the transition
-  starts, so no tick walks every signal;
-- a decision calendar maps a tick index to the intersections ``_poll``
-  checks on it. A check leaving a signal green books the next on the tick
-  its green reaches ``t_duration``, and a transition books one on the tick
-  it ends. It holds for one ``controllers`` object: a new one has every
-  intersection checked, and its controllers' ``t_duration`` turned into
-  ticks of green once.
+- the signals are the exception, walked on every tick as discharge walks
+  every intersection: first to end each transition whose end is the tick,
+  then, in intersection order, to decide wherever a green has run
+  ``t_duration``. The walks stay apart so that every switch of a tick
+  lands before any controller observes. Each ``controllers`` object has
+  its controllers' ``t_duration`` turned into ticks of green once.
 
 Besides two integer counters (the tick index and the next vehicle id), the
 dynamic state lives in ``state``, in the movement credits and in the flows'
@@ -432,15 +429,11 @@ class Simulation:
         # per intersection the mask of its live movements: at first, all
         self._live = [(1 << len(moves)) - 1 for *_, moves in self._junctions]
         self._signals = [st.signals[iid] for iid in ids]
-        # tick -> the intersections whose transition ends on it
-        self._switches: defaultdict[int, list[int]] = defaultdict(list)
-        # tick -> the intersections _poll checks; per intersection its last booked check
-        self._checks: defaultdict[int, list[int]] = defaultdict(list)
-        self._check_at = [0] * len(ids)
-        self._mapping: Optional[Mapping[str, Controller]] = None  # check all at the next poll
-        # per intersection, the ticks of green due a decision under the
-        # mapping: None without a controller or with an infinite t_duration
-        self._green: list[Optional[int]] = [None] * len(ids)
+        self._mapping: Optional[Mapping[str, Controller]] = None  # _green's mapping
+        # under the mapping, in intersection order, (id, signal, ticks of
+        # green due a decision) of each intersection whose controller has a
+        # finite t_duration
+        self._green: list[tuple[str, SignalState, int]] = []
         # tick -> the roads its transit pass visits; the next pass is tick
         # n + 1's, and books each road visited again on its head's due tick
         self._calendar: defaultdict[int, list[_Road]] = defaultdict(list)
@@ -482,17 +475,12 @@ class Simulation:
 
     def _advance_signals(self) -> None:
         n = self._ticks
-        due = self._switches.pop(n, None)
-        if due is None:
-            return
-        signals, check_at, checks = self._signals, self._check_at, self._checks[n]
-        for i in due:  # green again: check it on this tick
-            sig = signals[i]
-            sig.active = sig.transition.next_phase
-            sig.since = n
-            sig.transition = None
-            check_at[i] = n
-            checks.append(i)
+        for sig in self._signals:  # green again where a transition ends
+            tr = sig.transition
+            if tr is not None and tr.ends == n:
+                sig.active = tr.next_phase
+                sig.since = n
+                sig.transition = None
 
     def set_phase(self, intersection: str, phase: int) -> None:
         """Request a phase; no-op while a transition is underway. ``phase``
@@ -519,9 +507,7 @@ class Simulation:
             sig.active = phase
             sig.since = self._ticks
         else:
-            ends = self._ticks + self._transition
-            sig.transition = Transition(ends, phase)
-            self._switches[ends].append(i)
+            sig.transition = Transition(self._ticks + self._transition, phase)
 
     # -- demand -------------------------------------------------------------
 
@@ -608,38 +594,26 @@ class Simulation:
     # -- control ------------------------------------------------------------
 
     def _poll(self, controllers: Mapping[str, Controller]) -> None:
-        """Decide, in intersection order, where green has run ``t_duration``:
-        of those the calendar holds for this tick, or of all on a new mapping."""
-        n, check_at, checks = self._ticks, self._check_at, self._checks
-        due = checks.pop(n, None)
-        ids, greens = self._intersection_ids, self._green
+        """Decide, in intersection order, wherever a green has run
+        ``t_duration``. It runs after ``_advance_signals`` has ended every
+        transition due on the tick, so no controller sees a signal whose
+        transition is over still in it."""
+        n = self._ticks
         if controllers is not self._mapping:
-            self._mapping, due = controllers, range(len(check_at))
-            tick = self.config.tick
-            for i, iid in enumerate(ids):
-                ctrl = controllers.get(iid)
-                t_duration = math.inf if ctrl is None else ctrl.t_duration
-                greens[i] = None if t_duration == math.inf else _ticks_to(t_duration, tick)
-        elif due is None:
-            return
-        else:  # an entry is stale once a later event booked another check
-            due = sorted({i for i in due if check_at[i] == n})
-        st, net, signals = self.state, self.net, self._signals
-        for i in due:
-            green, sig = greens[i], signals[i]
-            if green is None or sig.transition is not None:
-                continue  # never due; a transition schedules a check when it ends
-            if n - sig.since >= green:
-                iid = ids[i]
-                ctrl = controllers[iid]
-                action = ctrl.decide(ctrl.observe(st, net, iid), iid)
-                st.counters.decisions += 1
-                self.set_phase(iid, action)
-                if sig.transition is not None:
-                    continue
-            wait = sig.since + green - n
-            check_at[i] = at = n + (wait if wait > 1 else 1)
-            checks[at].append(i)
+            self._mapping, tick = controllers, self.config.tick
+            self._green = [
+                (iid, sig, _ticks_to(ctrl.t_duration, tick))
+                for iid, sig in zip(self._intersection_ids, self._signals)
+                if (ctrl := controllers.get(iid)) is not None and ctrl.t_duration != math.inf
+            ]
+        st, net = self.state, self.net
+        for iid, sig, green in self._green:
+            if n - sig.since < green or sig.transition is not None:
+                continue
+            ctrl = controllers[iid]
+            action = ctrl.decide(ctrl.observe(st, net, iid), iid)
+            st.counters.decisions += 1
+            self.set_phase(iid, action)
 
     # -- discharge ----------------------------------------------------------
 

@@ -3,9 +3,11 @@
 The per-movement pressure functions and the deciders that read their
 report follow the paper's definitions one movement at a time: the lane
 table's ``phase_scores``, ``extract_state`` and ``reward`` must return
-exactly what they compute. The simulations below are the engine with a
-full scan in place of a calendar or wait list. The learner's oracles close
-the file: a central-difference check of ``td_gradients``, and the loader
+exactly what they compute. The two simulations below are the engine
+with a shortcut taken out: ``ScanSimulation`` decides by a green's age in
+seconds, not in ticks worked out once per mapping, and ``AwakeSimulation``
+keeps no wait lists and times transit in seconds. The learner's oracles
+close the file: a central-difference check of ``td_gradients``, and the loader
 that reads ``save_parameters``' file back into a frozen greedy policy.
 """
 
@@ -150,13 +152,13 @@ def efficient_mp_decide(report: PressureReport, phases: Sequence[Phase]) -> int:
 
 
 class ScanSimulation(Simulation):
-    """The engine with the per-tick scan that the decision calendar
-    replaced: every tick, every intersection with a controller is checked,
-    and a green is due once its ticks, in seconds, reach ``t_duration`` less
-    1e-9 s."""
+    """The engine with its decision rule read from each controller in
+    seconds, on every decision: every tick, every intersection with a
+    controller is checked, through the state's signal dict, and a green is
+    due once its ticks, in seconds, reach ``t_duration`` less 1e-9 s. The
+    engine turns each mapping's ``t_duration`` values into ticks once."""
 
     def _poll(self, controllers) -> None:
-        self._checks.clear()  # the calendar is unused here
         st, tick = self.state, self.config.tick
         signals, net = st.signals, self.net
         for iid in self._intersection_ids:

@@ -234,12 +234,14 @@ def test_phase_naming_an_unknown_movement_exits_two(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "command",
-    [["run", "--phases", "8"], ["sweep", "--param", "phases", "--values", "4,8"]],
-    ids=["run", "sweep"],
+    [["run", "--phases", "8"], ["sweep", "--param", "phases", "--values", "4,8"],
+     ["run", "--phases", "4"]],
+    ids=["run", "sweep", "run-own-label"],
 )
 def test_phase_scheme_naming_a_missing_movement_exits_two(command, tmp_path, capsys):
-    """A valid network without n0_0:NL runs as it is, but the 8-phase table
-    serves (N, left) on its own, so re-phasing it is refused."""
+    """A valid network without n0_0:NL runs as it is, but both tables serve
+    (N, left), so re-phasing it is refused: also under the 4-phase label it
+    carries, which its own phases do not make canonical."""
     doc = network_to_dict(build_grid(1, 1, 300.0, 300.0))
     (inter,) = doc["intersections"]
     inter["movements"] = [m for m in inter["movements"] if m["id"] != "n0_0:NL"]
@@ -379,14 +381,30 @@ def _add_unused_road(path):
     path.write_text(json.dumps(doc))
 
 
+# each repeats an entry of the 1x1 grid file, or writes a lane index as text
+_NETWORK_EDITS = {
+    "network-with-repeated-road": lambda doc: doc["roads"].append(doc["roads"][0]),
+    "network-with-repeated-intersection":
+        lambda doc: doc["intersections"].append(doc["intersections"][0]),
+    "network-with-repeated-movement":
+        lambda doc: doc["intersections"][0]["movements"].append(
+            doc["intersections"][0]["movements"][0]),
+    "network-with-text-lane-index": lambda doc: doc["roads"][0]["lanes"][0].update(index="0"),
+}
+
+
 @pytest.mark.parametrize(
     "case",
     ["flow-without-start", "flow-with-unknown-road", "flow-with-unlinked-roads",
      "network-without-phase-scheme", "network-not-json", "network-missing",
-     "network-with-unused-road"],
+     "network-with-unused-road", *_NETWORK_EDITS],
 )
 def test_malformed_input_exits_two(case, grid_file, flows_file, capsys):
-    if case == "flow-without-start":
+    if case in _NETWORK_EDITS:
+        doc = json.loads(grid_file.read_text())
+        _NETWORK_EDITS[case](doc)
+        grid_file.write_text(json.dumps(doc))
+    elif case == "flow-without-start":
         _drop_start(flows_file)
     elif case == "flow-with-unknown-road":
         _route_flow(flows_file, ("no_such_road", "n0_0__boundary:E0"))

@@ -198,6 +198,42 @@ def test_with_phase_scheme_rebuilds_tables():
         assert len(inter.phases) == 8
 
 
+def test_with_phase_scheme_hands_back_only_a_canonical_network():
+    """The label alone is not trusted: a network labelled 4-phase with its
+    phases in another order is rebuilt with the canonical table."""
+    net = build_grid(1, 1, 300.0, 300.0, PhaseScheme.FOUR)
+    assert with_phase_scheme(net, PhaseScheme.FOUR) is net
+    (inter,) = net.intersections
+    reordered = tuple(
+        dataclasses.replace(p, id=k) for k, p in enumerate(reversed(inter.phases))
+    )
+    custom = RoadNetwork([dataclasses.replace(inter, phases=reordered)], net.roads,
+                         PhaseScheme.FOUR)
+    assert validate(custom) == []
+    rebuilt = with_phase_scheme(custom, PhaseScheme.FOUR)
+    assert rebuilt is not custom
+    assert rebuilt.intersections[0].phases == inter.phases
+
+
+def test_validate_flags_repeated_ids_and_misordered_lanes():
+    net = build_grid(1, 2, 300.0, 300.0, lanes_per_approach=3)
+    a, b = net.intersections
+    # movement ids are unique across the network, not only per intersection
+    renamed = dataclasses.replace(b.movements[0], id=a.movements[0].id)
+    b = dataclasses.replace(b, movements=(renamed, *b.movements[1:]))
+    road = net.roads[0]
+    reversed_lanes = dataclasses.replace(road, lanes=road.lanes[::-1])
+    broken = RoadNetwork([a, a, b], [reversed_lanes, *net.roads[1:], net.roads[1]],
+                         net.phase_scheme)
+    found = {(v.entity, v.message) for v in validate(broken)}
+    assert {
+        (net.roads[1].id, "duplicate road id"),
+        (a.id, "duplicate intersection id"),
+        (a.movements[0].id, "duplicate movement id"),
+        (road.id, "lane indices do not run 0, 1, ... in order"),
+    } <= found
+
+
 def test_serialization_round_trip(tmp_path):
     net = build_grid(3, 4, 400.0, 800.0)
     path = tmp_path / "net.json"

@@ -88,25 +88,6 @@ def _sim_functions() -> list[ast.FunctionDef]:
             if isinstance(n, ast.FunctionDef)]
 
 
-def test_signals_advance_by_their_switch_calendar():
-    """``_advance_signals`` visits the signals whose transition ends on the
-    tick, never every signal: no loop in it iterates over ``_signals`` or
-    ``state.signals``, directly or through a name bound to either."""
-    (fn,) = [f for f in _sim_functions() if f.name == "_advance_signals"]
-
-    def names(node: ast.AST) -> set[str]:
-        return {n.id if isinstance(n, ast.Name) else n.attr
-                for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
-
-    signals = {"_signals", "signals"}
-    for node in ast.walk(fn):  # names bound to the signals, in any unpacking
-        if isinstance(node, ast.Assign) and names(node.value) & signals:
-            signals |= {n.id for t in node.targets for n in ast.walk(t)
-                        if isinstance(n, ast.Name)}
-    loops = [n.iter for n in ast.walk(fn) if isinstance(n, (ast.For, ast.comprehension))]
-    assert [ast.unparse(i) for i in loops if names(i) & signals] == []
-
-
 def test_one_tick_loop_body():
     """``step`` and ``run`` share one tick-loop body: a single function in
     ``sim.py`` reaches ``_discharge``."""

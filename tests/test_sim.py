@@ -10,7 +10,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pressim.bench import Asymmetric, Uniform, generate_synthetic_demand
-from pressim.control import ControllerConfig, PressureController, make_controllers
+from pressim.control import (
+    ControllerConfig,
+    FixedTimeController,
+    PressureController,
+    make_controllers,
+)
 from pressim.network import (
     PhaseScheme,
     build_grid,
@@ -293,6 +298,35 @@ def test_zero_duration_transition_switches_immediately():
     assert sig.transition is None
     assert sig.active == 3
     assert sig.since == 0
+
+
+class TransitionWatcher:
+    """Stays in its phase and records, at each observation, every signal
+    whose transition is due on or before the tick it observes on."""
+
+    def __init__(self, t_duration: float):
+        self.t_duration = t_duration
+        self.observations = 0
+        self.seen: list[str] = []
+
+    def observe(self, state, net, intersection):
+        self.observations += 1  # ticks of 1 s: tick n's clock is n
+        self.seen += [iid for iid, s in state.signals.items()
+                      if s.transition is not None and s.transition.ends <= state.clock]
+        return state.signals[intersection].active
+
+    def decide(self, active, intersection):
+        return active
+
+
+def test_every_switch_of_a_tick_lands_before_any_controller_observes():
+    """``n0_1`` ends a transition on every tick ``n0_0`` decides on, and
+    ``n0_0`` comes first in intersection order: it must find each over."""
+    watcher = TransitionWatcher(15.0)
+    sim = Simulation(build_grid(1, 2, 300.0, 300.0), [], SimConfig(episode_length=600))
+    sim.run({"n0_0": watcher, "n0_1": FixedTimeController(ControllerConfig(10.0))})
+    assert watcher.observations == 40
+    assert watcher.seen == []
 
 
 def test_entry_blocking_counts_spawn_attempts():
@@ -606,9 +640,10 @@ class Cycler:
 
 
 # t_duration per intersection: several fall below one tick of the ticks
-# drawn, and an infinite one never comes due. ControllerConfig rejects an
-# infinite t_duration, so a Cycler carries that one whatever the kind drawn
-T_DURATIONS = (0.05, 0.2, 0.3, 1.0, 2.5, 7.3, 15.0, float("inf"))
+# drawn, 1e-12 s is a green of zero ticks, and an infinite one never comes
+# due. ControllerConfig rejects an infinite t_duration, so a Cycler carries
+# that one whatever the kind drawn
+T_DURATIONS = (1e-12, 0.05, 0.2, 0.3, 1.0, 2.5, 7.3, 15.0, float("inf"))
 _controller_specs = st.lists(
     st.none() | st.tuples(st.sampled_from(T_DURATIONS), st.sampled_from(["ep", "mp", "cycle"])),
     min_size=4,
@@ -633,13 +668,13 @@ _controller_specs = st.lists(
     ),
     seed=st.integers(0, 99),
 )
-def test_decision_calendar_matches_a_scan_of_every_intersection(
-    tick, yellow, all_red, mappings, events, seed
-):
-    """The calendar makes the decisions a check of every intersection on
-    every tick makes, through missing controllers, mappings swapped
-    mid-run, ``set_phase`` calls between steps and forks taken while a
-    signal is in its transition."""
+def test_polls_match_a_scan_in_seconds(tick, yellow, all_red, mappings, events, seed):
+    """The engine's polls, which count a green in ticks worked out once per
+    mapping, make the decisions that a check of every intersection's green
+    in seconds on every tick makes: through missing controllers, mappings
+    swapped mid-run, ``set_phase`` calls between steps, forks taken while a
+    signal is in its transition, and greens of zero ticks, which decide on
+    the very tick their transition ends."""
     net = build_grid(2, 2, 150.0, 150.0)
     ids = [i.id for i in net.intersections]
     flows = generate_synthetic_demand(net, Asymmetric(0.3, 0.15), seed, 600.0)
