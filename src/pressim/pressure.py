@@ -115,19 +115,16 @@ def _lanes(net: RoadNetwork, intersection: str) -> IntersectionLanes:
 
 
 def _movement_scores(
-    state: SimState, intersection: str, lanes: IntersectionLanes, efficient: bool, exact=False
+    state: SimState, intersection: str, lanes: IntersectionLanes, efficient: bool
 ) -> list:
     """Queue pressure, or efficient pressure with ``efficient``, per
     signalized movement. Each distinct lane set's queue total is taken once,
     from the state's ``reads``; an efficient pressure is ``sum / n`` of
     integer queues, which equals the ``fmean`` that ``efficient_pressure``
-    takes, or with ``exact`` the integers ``(e * nx - x * ne, ne * nx)``
-    whose quotient it is."""
+    takes."""
     singles, groups, _, _ = state.reads[intersection]
     total = list(map(len, singles))
     total += [sum(map(len, g)) for g in groups]
-    if exact:
-        return [(total[e] * nx - total[x] * ne, ne * nx) for e, x, ne, nx in lanes.ep_reads]
     if efficient:
         return [total[e] / ne - total[x] / nx for e, x, ne, nx in lanes.ep_reads]
     return [total[e] - total[p] for e, p in lanes.mp_reads]
@@ -137,13 +134,9 @@ def phase_scores(
     state: SimState, net: RoadNetwork, intersection: str, efficient: bool = False
 ) -> tuple:
     """Per-phase pressures, or efficient pressures with ``efficient``:
-    movement a plus movement b, phase i at position i. Efficient ones are
-    summed exactly and rounded once, so phases that tie exactly tie."""
+    movement a plus movement b, phase i at position i."""
     lanes = _lanes(net, intersection)
-    if efficient:
-        q = _movement_scores(state, intersection, lanes, True, exact=True)
-        return tuple((q[a][0] * q[b][1] + q[b][0] * q[a][1]) / (q[a][1] * q[b][1]) for a, b in lanes.phases)
-    score = _movement_scores(state, intersection, lanes, False)
+    score = _movement_scores(state, intersection, lanes, efficient)
     return tuple(score[a] + score[b] for a, b in lanes.phases)
 
 

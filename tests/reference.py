@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
@@ -95,23 +94,9 @@ def etm_efficient_pressure(state: SimState, net: RoadNetwork, m: TrafficMovement
     return efficient_pressure(entering, exiting)
 
 
-def etm_exact_efficient_pressure(
-    state: SimState, net: RoadNetwork, m: TrafficMovement
-) -> Fraction:
-    """``etm_efficient_pressure`` as an exact fraction, not rounded."""
-    entering = [len(state.queues[l]) for l in m.entering]
-    exiting = [downstream_queue(state, net, l) for l in m.exiting]
-    return Fraction(sum(entering), len(entering)) - Fraction(sum(exiting), len(exiting))
-
-
 def phase_efficient_pressure(state: SimState, net: RoadNetwork, phase: Phase) -> float:
-    """The two movements' efficient pressures summed exactly and rounded to
-    a float once, so phases that tie exactly tie as floats."""
     a, b = (movement_index(net)[mid] for mid in phase.movements)
-    return float(
-        etm_exact_efficient_pressure(state, net, a)
-        + etm_exact_efficient_pressure(state, net, b)
-    )
+    return etm_efficient_pressure(state, net, a) + etm_efficient_pressure(state, net, b)
 
 
 # -- per-intersection report for pressure-driven controllers ----------------
@@ -145,7 +130,7 @@ def pressure_report(state: SimState, net: RoadNetwork, intersection: str) -> Pre
             for p in inter.phases
         ),
         phase_efficient_pressures=tuple(
-            phase_efficient_pressure(state, net, p) for p in inter.phases
+            ep[p.movements[0]] + ep[p.movements[1]] for p in inter.phases
         ),
         intersection_pressure=intersection_pressure(state, net, intersection),
     )

@@ -106,29 +106,6 @@ def test_decisions_invariant_to_uniform_queue_scaling(data, scale):
         )
 
 
-def test_exactly_tied_efficient_pressures_tie_as_floats():
-    # n0_1's phases 1 and 2 both score 20/3; summing two rounded movement
-    # means gave phase 2 the larger float by one ulp
-    net = build_grid(1, 2, 300.0, 300.0)
-    stt = SimState.for_network(net)
-    for lane, c in {
-        "boundary:E0__n0_1#1": 3,
-        "boundary:N1__n0_1#0": 2,
-        "boundary:S1__n0_1#0": 5,
-        "n0_0__n0_1#1": 4,
-        "n0_1__n0_0#2": 1,
-    }.items():
-        stt.queues[lane].extend(range(c))
-    inter = net.intersection_index["n0_1"]
-    r = pressure_report(stt, net, "n0_1")
-    assert r.phase_efficient_pressures[1] == r.phase_efficient_pressures[2]
-    assert efficient_mp_decide(r, inter.phases) == 1
-    ctrl = PressureController(efficient=True)
-    obs = ctrl.observe(stt, net, "n0_1")
-    assert obs == r.phase_efficient_pressures
-    assert ctrl.decide(obs, "n0_1") == 1
-
-
 def test_fixed_time_visits_all_phases_once_per_cycle():
     net = build_grid(1, 1, 400.0, 400.0)
     sim = Simulation(net, [], SimConfig(episode_length=400))

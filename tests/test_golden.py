@@ -69,7 +69,7 @@ MATRIX = {
     (2, 2, "mp", 8, 1): "22579978ef50519cf7a18ea2050f82e478e93be3948312de2a58ebf64af218b7",
     (2, 2, "mp", 8, 3): "1f3465bfb2437e889e9fb7b8721e27db7675099886e158c04b1432582aa5a873",
     (2, 2, "efficient-mp", 4, 1): "5ded8f7d146bbf6a355e7d29cd32ed152557d1cbc2b61b75da2829d414967f03",
-    (2, 2, "efficient-mp", 4, 3): "d1ce1940f2099c1182dd642c5030edd6c24a5ce11dc7ac5e40f349cd43b000a7",
+    (2, 2, "efficient-mp", 4, 3): "7c9540cf38166c4317ca211ffb73f900a0837926c46d2263012e6bfb635f23e8",
     (2, 2, "efficient-mp", 8, 1): "22579978ef50519cf7a18ea2050f82e478e93be3948312de2a58ebf64af218b7",
     (2, 2, "efficient-mp", 8, 3): "1e2fcf2a77e7bfbfd408e3e661668231716beb279f95e1d7c596feb3202bd15e",
 }
