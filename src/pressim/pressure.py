@@ -24,8 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from statistics import fmean
-from typing import Sequence
 
 import numpy as np
 
@@ -47,26 +45,6 @@ class RewardKind(Enum):
     NEG_QUEUE_LENGTH = "queue"
 
 
-# -- scalar building blocks -------------------------------------------------
-
-
-def movement_pressure(x_l: int, x_m: int) -> int:
-    """Queue difference between an entering lane and its exiting lane."""
-    return x_l - x_m
-
-
-def phase_pressure(p1: int, p2: int) -> int:
-    """Sum of the two movement pressures a phase serves."""
-    return p1 + p2
-
-
-def efficient_pressure(entering: Sequence[float], exiting: Sequence[float]) -> float:
-    """Mean entering queue minus mean exiting queue for one movement."""
-    if not entering or not exiting:
-        raise ConfigurationError("efficient_pressure needs non-empty lane sets")
-    return fmean(entering) - fmean(exiting)
-
-
 # -- reading queues from a state snapshot -----------------------------------
 
 
@@ -80,9 +58,10 @@ class LaneStats:
 def lane_stats(state: SimState, net: RoadNetwork, road_id: str) -> list[LaneStats]:
     """Per-lane occupancy on one road.
 
-    In-transit vehicles are attributed to the lane they would join if they
-    all arrived now, in travel order: the least-occupied of the lanes its hop
-    plan designates for its next turn, ties to the first. Vehicles on a road
+    The in-transit vehicles are the records in the road's transit deque,
+    read in travel order. Each is attributed to the lane it would join if
+    they all arrived now: the least-occupied of the lanes its hop plan
+    designates for its next turn, ties to the first. Vehicles on a road
     that drains to a boundary never join a lane and are not attributed.
     """
     road = net.road_index[road_id]
@@ -92,8 +71,7 @@ def lane_stats(state: SimState, net: RoadNetwork, road_id: str) -> list[LaneStat
     if transit and not net.terminal(road_id):
         virtual = dict(queue)
         lane_ids = tuple(net.lane_index)  # a hop plan holds positions in this order
-        for _, vid in transit:
-            v = state.vehicles[vid]
+        for v in transit:
             pick = pick_lane([lane_ids[k] for k in v.plan[v.route_pos]], virtual.__getitem__)
             virtual[pick] += 1
             extra[pick] += 1
@@ -120,8 +98,8 @@ def _movement_scores(
     """Queue pressure, or efficient pressure with ``efficient``, per
     signalized movement. Each distinct lane set's queue total is taken once,
     from the state's ``reads``; an efficient pressure is ``sum / n`` of
-    integer queues, which equals the ``fmean`` that ``efficient_pressure``
-    takes."""
+    integer queues, which equals the ``fmean`` that the per-movement
+    reference takes."""
     singles, groups, _, _ = state.reads[intersection]
     total = list(map(len, singles))
     total += [sum(map(len, g)) for g in groups]

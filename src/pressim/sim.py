@@ -18,6 +18,13 @@ Unsignalized right turns discharge in every phase and during transitions.
 The engine draws no random numbers: identical inputs give identical
 trajectories tick for tick.
 
+The vehicle record (``Vehicle``) is the unit of the tick loop: the
+stop-line queues and the roads' transit deques hold the records
+themselves, so a step reaches a vehicle's route, plan and entry tick
+without a lookup. The state's vehicle table, every vehicle by id, exists
+for the reports and ``state_digest`` only; a spawn stores each new vehicle
+there, and no step phase reads it.
+
 Everything static is resolved once per ``Simulation``, from the network's
 ``lane_table`` and the configured lane capacities, and the tick loop runs
 over these tables, never over a dict keyed by a lane, road or movement id:
@@ -45,11 +52,12 @@ over these tables, never over a dict keyed by a lane, road or movement id:
 Time is counted in whole ticks. The clock after tick n is ``n * tick``; a
 signal holds the tick its green began on and a transition the tick its
 yellow and all-red end on, so a green's age on tick n is n less its start,
-frozen while a transition runs; a road's transit deque holds each vehicle
-with the tick it entered the road on, and one that enters on tick n
-reaches its stop line on tick n + hop; and each requested release goes out
-on the first tick at or after its time, in flow order within a tick,
-because vehicle ids follow it (``FlowSpec``).
+frozen while a transition runs; a road's transit deque holds its vehicles
+in the order they entered it, each record with the tick it entered its
+current road on (``road_tick``), and one that enters on tick n reaches its
+stop line on tick n + hop; and each requested release goes out on the
+first tick at or after its time, in flow order within a tick, because
+vehicle ids follow it (``FlowSpec``).
 
 The tick loop visits only what can change on the tick:
 
@@ -102,10 +110,11 @@ A fork is a deep copy of the whole ``Simulation``. A memo keeps the copy
 cheap by sharing what no step changes: it maps the network, the controllers
 mapping last stepped with (read by identity), the flows and their hop plans
 each to itself, and the vehicle table to a copy that shares the finished
-vehicles; a vehicle holds only immutable values, so a shallow copy of an
-unfinished one is its deep copy. Everything that refers to a queue, the
-state's ``reads`` among them, is copied with the queues, so the copy reads
-its own.
+vehicles. It maps each unfinished vehicle to a shallow copy, which is its
+deep copy because a vehicle holds only immutable values, so the copied
+queues, transit deques and vehicle table hold that one copy. Everything
+that refers to a queue, the state's ``reads`` among them, is copied with
+the queues, so the copy reads its own.
 """
 
 from __future__ import annotations
@@ -185,6 +194,7 @@ class Vehicle:
     # the flow's hop plan: per route position, the positions of its
     # stop-line lane candidates in the network's ``lane_index`` order
     plan: tuple[Optional[tuple[int, ...]], ...] = ()
+    road_tick: int = 0  # the tick it entered its current road on
 
 
 @dataclass
@@ -213,23 +223,26 @@ class LaneReads(NamedTuple):
     queues: its one-lane sets, its lane groups, its entering lanes and its
     exiting lanes that do not drain to a boundary."""
 
-    singles: tuple[Deque[int], ...]
-    groups: tuple[tuple[Deque[int], ...], ...]
-    entering: tuple[Deque[int], ...]
-    exiting: tuple[Deque[int], ...]
+    singles: tuple[Deque[Vehicle], ...]
+    groups: tuple[tuple[Deque[Vehicle], ...], ...]
+    entering: tuple[Deque[Vehicle], ...]
+    exiting: tuple[Deque[Vehicle], ...]
 
 
 @dataclass
 class SimState:
     """The dynamic state of one episode; ``for_network`` builds it."""
 
-    queues: dict[str, Deque[int]]
-    # per road: (the tick it entered the road on, vehicle id), oldest first
-    transit: dict[str, Deque[tuple[int, int]]]
+    # per lane: its queued vehicles, head first
+    queues: dict[str, Deque[Vehicle]]
+    # per road: its vehicles in transit, in the order they entered it
+    transit: dict[str, Deque[Vehicle]]
     signals: dict[str, SignalState]
     # per intersection: the lane sets the pressure functions read
     reads: dict[str, LaneReads]
     clock: float = 0.0
+    # every vehicle spawned, by id, for the reports and the digest only:
+    # the tick loop holds the records in the queues and transit deques
     vehicles: dict[int, Vehicle] = field(default_factory=dict)
     counters: Counters = field(default_factory=Counters)
     total_queued: int = 0
@@ -241,9 +254,9 @@ class SimState:
         order, a transit deque per road, phase 0 green everywhere, and each
         intersection's ``reads`` built around these queues. Raises
         ConfigurationError on a malformed network."""
-        queues: dict[str, Deque[int]] = {l: deque() for l in net.lane_index}
+        queues: dict[str, Deque[Vehicle]] = {l: deque() for l in net.lane_index}
 
-        def read(lanes: tuple[str, ...]) -> tuple[Deque[int], ...]:
+        def read(lanes: tuple[str, ...]) -> tuple[Deque[Vehicle], ...]:
             return tuple(map(queues.__getitem__, lanes))
 
         return cls(
@@ -303,7 +316,7 @@ class _Road:
     sink: bool  # drains to a boundary
     capacity: int  # of each stop-line lane
     hop: int  # ticks from entering the road to reaching its stop line
-    transit: Deque[tuple[int, int]]
+    transit: Deque[Vehicle]
     junction: int  # position of the intersection it enters; -1 for a sink
     feeds: int = 0  # mask of the movements there that its lanes enter
     # what a pop from any of its stop-line lanes wakes: (intersection
@@ -321,7 +334,7 @@ class _Move:
 
     id: str
     bit: int  # 1 << its position in the intersection's movements
-    lanes: tuple[Deque[int], ...]
+    lanes: tuple[Deque[Vehicle], ...]
     source: _Road
     road: _Road
     solo: bool  # no other movement enters its lanes
@@ -532,11 +545,11 @@ class Simulation:
                 else:
                     vid = self._next_vehicle_id
                     self._next_vehicle_id += 1
-                    st.vehicles[vid] = Vehicle(vid, spec.route, 0, now, None, plan)
+                    st.vehicles[vid] = v = Vehicle(vid, spec.route, 0, now, None, plan, n)
                     dq = road.transit
                     if not dq:  # this tick's transit pass runs after the releases
                         self._calendar[n + road.hop].append(road)
-                    dq.append((n, vid))
+                    dq.append(v)
                 k += 1
                 t = spec.start_s + k * spec.headway_s
                 if t > spec.end_s + _EPS:
@@ -547,7 +560,7 @@ class Simulation:
                     break
             flow.k = k
 
-    def _pick_lane(self, candidates: tuple[int, ...]) -> Deque[int]:
+    def _pick_lane(self, candidates: tuple[int, ...]) -> Deque[Vehicle]:
         return pick_lane(map(self._lanes.__getitem__, candidates), len)
 
     # -- movement along roads ----------------------------------------------
@@ -558,16 +571,14 @@ class Simulation:
         if roads is None:
             return
         st = self.state
-        clock = st.clock
-        queues, vehicles = self._lanes, st.vehicles
+        clock, queues = st.clock, self._lanes
         calendar, live = self._calendar, self._live
         joined = finished = 0
         # roads do not interact here: a road's vehicles join only its own lanes
         for road in roads:
             dq, hop = road.transit, road.hop
             last = n - hop  # a head is due if it entered on this tick or before
-            while dq and dq[0][0] <= last:
-                v = vehicles[dq[0][1]]
+            while dq and (v := dq[0]).road_tick <= last:
                 if road.sink:
                     dq.popleft()
                     v.exit_time = clock
@@ -583,11 +594,11 @@ class Simulation:
                 dq.popleft()
                 if not q:  # a new head: the road's movements may move it
                     live[road.junction] |= road.feeds
-                q.append(v.id)
+                q.append(v)
                 joined += 1
             else:
                 if dq:  # the next head is not yet due: book the tick it is
-                    calendar[dq[0][0] + hop].append(road)
+                    calendar[dq[0].road_tick + hop].append(road)
         st.total_queued += joined
         st.counters.finished += finished
 
@@ -618,8 +629,7 @@ class Simulation:
     # -- discharge ----------------------------------------------------------
 
     def _discharge(self) -> None:
-        st = self.state
-        queues, vehicles = self._lanes, st.vehicles
+        st, queues = self.state, self._lanes
         live, calendar, n = self._live, self._calendar, self._ticks
         positions = _POSITIONS
         gain, full = self._gain, self._full
@@ -647,7 +657,7 @@ class Simulation:
                     for q in mv.lanes:
                         if not q:
                             continue
-                        v = vehicles[q[0]]
+                        v = q[0]
                         pos = v.route_pos + 1
                         if v.route[pos] != road.id:
                             continue
@@ -668,10 +678,11 @@ class Simulation:
                     q.popleft()
                     st.total_queued -= 1
                     v.route_pos = pos
+                    v.road_tick = n
                     dq = road.transit
                     if not dq:  # this tick's transit pass has run: at least the next
                         calendar[n + (road.hop or 1)].append(road)
-                    dq.append((n, v.id))
+                    dq.append(v)
                     # wake what waits on a pop from this road
                     source = mv.source
                     w = source.waiting
@@ -723,13 +734,13 @@ class Simulation:
                 tr.next_phase,
             ]
 
-        queued = {vid for q in st.queues.values() for vid in q}
+        queued = {v.id for q in st.queues.values() for v in q}
         doc = {
             "clock": round(st.clock, 9),
-            "queues": {l: list(q) for l, q in sorted(st.queues.items())},
+            "queues": {l: [v.id for v in q] for l, q in sorted(st.queues.items())},
             "transit": {
-                r: [[round(entered * tick + self.net.road_index[r].travel_time, 9), v]
-                    for entered, v in dq]
+                r: [[round(v.road_tick * tick + self.net.road_index[r].travel_time, 9), v.id]
+                    for v in dq]
                 for r, dq in sorted(st.transit.items())
             },
             "signals": {i: signal(s) for i, s in sorted(st.signals.items())},

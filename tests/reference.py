@@ -1,9 +1,10 @@
 """Readable references the engine's fast paths are checked against.
 
-The per-movement pressure functions and the deciders that read their
-report follow the paper's definitions one movement at a time: the lane
-table's ``phase_scores``, ``extract_state`` and ``reward`` must return
-exactly what they compute. The two simulations below are the engine
+The paper's scalar formulas open the file; no library code calls them.
+The per-movement pressure functions built on them, and the deciders that
+read their report, follow the paper's definitions one movement at a time:
+the lane table's ``phase_scores``, ``extract_state`` and ``reward`` must
+return exactly what they compute. The two simulations below are the engine
 with a shortcut taken out: ``ScanSimulation`` decides by a green's age in
 seconds, not in ticks worked out once per mapping, and ``AwakeSimulation``
 keeps no wait lists and times transit in seconds. The learner's oracles
@@ -16,19 +17,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from statistics import fmean
 from typing import Sequence
 
 import numpy as np
 
 from pressim.control import Controller, ControllerConfig, _argmax_lowest
 from pressim.network import Intersection, Phase, RoadNetwork, TrafficMovement
-from pressim.pressure import (
-    StateKind,
-    efficient_pressure,
-    extract_state,
-    movement_pressure,
-    phase_pressure,
-)
+from pressim.pressure import StateKind, extract_state
 from pressim.rl import QFunction, _scope_sizes
 from pressim.sim import (
     _EPS,
@@ -44,6 +40,26 @@ def movement_index(net: RoadNetwork) -> dict[str, TrafficMovement]:
 
 def signalized_movements(inter: Intersection) -> tuple[TrafficMovement, ...]:
     return tuple(m for m in inter.movements if m.signalized)
+
+
+# -- the paper's scalar formulas --------------------------------------------
+
+
+def movement_pressure(x_l: int, x_m: int) -> int:
+    """Queue difference between an entering lane and its exiting lane."""
+    return x_l - x_m
+
+
+def phase_pressure(p1: int, p2: int) -> int:
+    """Sum of the two movement pressures a phase serves."""
+    return p1 + p2
+
+
+def efficient_pressure(entering: Sequence[float], exiting: Sequence[float]) -> float:
+    """Mean entering queue minus mean exiting queue for one movement."""
+    if not entering or not exiting:
+        raise ConfigurationError("efficient_pressure needs non-empty lane sets")
+    return fmean(entering) - fmean(exiting)
 
 
 # -- reading queues from a state snapshot -----------------------------------
@@ -188,14 +204,14 @@ class AwakeSimulation(Simulation):
         for road in self._calendar.pop(n, ()):
             dq, travel_time = road.transit, self.net.road_index[road.id].travel_time
             while dq:
-                entered = dq[0][0]
+                v = dq[0]
+                entered = v.road_tick
                 if (n - entered) * tick < travel_time - _EPS:  # not yet due
                     due = max(n + 1, entered + int(travel_time / tick) - 1)
                     while (due - entered) * tick < travel_time - _EPS:
                         due += 1
                     self._calendar[due].append(road)
                     break
-                v = st.vehicles[dq[0][1]]
                 if road.sink:
                     dq.popleft()
                     v.exit_time = st.clock
@@ -206,7 +222,7 @@ class AwakeSimulation(Simulation):
                     road.held = True
                     break
                 dq.popleft()
-                q.append(v.id)
+                q.append(v)
                 st.total_queued += 1
                 self._live[road.junction] |= road.feeds
 
@@ -229,7 +245,7 @@ class AwakeSimulation(Simulation):
                     for q in mv.lanes:
                         if not q:
                             continue
-                        v = st.vehicles[q[0]]
+                        v = q[0]
                         pos = v.route_pos + 1
                         if v.route[pos] != road.id:
                             continue
@@ -240,9 +256,10 @@ class AwakeSimulation(Simulation):
                     q.popleft()
                     st.total_queued -= 1
                     v.route_pos = pos
+                    v.road_tick = n
                     if not road.transit:
                         self._calendar[n + max(1, road.hop)].append(road)
-                    road.transit.append((n, v.id))
+                    road.transit.append(v)
                     if mv.source.held:
                         mv.source.held = False
                         self._calendar[n + 1].append(mv.source)

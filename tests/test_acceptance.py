@@ -26,13 +26,7 @@ from pressim.bench import (
 )
 from pressim.control import PressureController, make_controllers
 from pressim.network import PhaseScheme, build_grid
-from pressim.pressure import (
-    StateKind,
-    efficient_pressure,
-    movement_pressure,
-    phase_pressure,
-    phase_scores,
-)
+from pressim.pressure import StateKind, phase_scores
 from pressim.rl import (
     LearningAgent,
     QFunction,
@@ -41,7 +35,7 @@ from pressim.rl import (
     train,
 )
 from pressim.sim import SimConfig, Simulation
-from reference import gradient_check
+from reference import efficient_pressure, gradient_check, movement_pressure, phase_pressure
 
 
 def _verdict(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -73,13 +67,14 @@ def _fork(sim: Simulation) -> Simulation:
     """An independent copy of a live simulation: a deep copy whose memo
     shares what no step changes, the network, the controllers mapping (read
     by identity), the flows and their hop plans, and the finished vehicles.
-    A vehicle holds only immutable values, so the memo's copy of the
-    vehicle table copies each unfinished one shallowly."""
+    A vehicle holds only immutable values, so the memo copies each
+    unfinished one shallowly, under the original's identity: the copied
+    queues, transit deques and vehicle table then hold that one copy."""
     memo = {id(obj): obj for obj in (sim.net, sim._mapping, *sim.flows, *sim._plans.values())}
     vehicles = sim.state.vehicles
-    memo[id(vehicles)] = {
-        vid: v if v.exit_time is not None else copy.copy(v) for vid, v in vehicles.items()
-    }
+    table = memo[id(vehicles)] = {}
+    for vid, v in vehicles.items():
+        table[vid] = memo[id(v)] = v if v.exit_time is not None else copy.copy(v)
     return copy.deepcopy(sim, memo)
 
 
@@ -432,3 +427,26 @@ def test_fork_steps_in_lockstep_with_the_original():
         original.step(controllers)
         clone.step(controllers)
     assert _fork(original).state_digest() == _fork(clone).state_digest()
+
+
+def test_queues_and_transit_hold_the_vehicle_table_records():
+    """The queues and transit deques hold the very records of the vehicle
+    table, after a run and in a fork of it, and a fork shares no unfinished
+    record with the run it was forked from, also once both step on."""
+    net = build_grid(3, 4, 300.0, 300.0)
+    flows = generate_synthetic_demand(net, Asymmetric(0.1, 0.05), 0, 900.0)
+    controllers = make_controllers(net, "mp")
+    original = Simulation(net, flows, SimConfig(episode_length=900.0))
+    original.run(controllers)
+    clone = _fork(original)
+    for ticks in (0, 60):
+        for _ in range(ticks):
+            original.step(controllers)
+            clone.step(controllers)
+        for sim in (original, clone):
+            st = sim.state
+            assert any(st.queues.values()) and any(st.transit.values())
+            for dq in (*st.queues.values(), *st.transit.values()):
+                assert all(v is st.vehicles[v.id] for v in dq)
+        unfinished = {id(v) for v in original.state.vehicles.values() if v.exit_time is None}
+        assert not unfinished & {id(v) for v in clone.state.vehicles.values()}

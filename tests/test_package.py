@@ -33,11 +33,6 @@ def test_no_library_module_imports_from_the_tests():
     assert offending == []
 
 
-# The paper's scalar formulas: test_01 checks them, and the lane table's
-# fast paths are checked against the references built on them.
-PAPER_FORMULAS = {"movement_pressure", "phase_pressure", "efficient_pressure"}
-
-
 def test_every_public_definition_is_used_in_the_library():
     """A public top-level function or class that only the tests call
     belongs in the tests."""
@@ -54,7 +49,7 @@ def test_every_public_definition_is_used_in_the_library():
     unused = [
         f"{module}: {d.name}" for module, d in definitions
         if not d.name.startswith("_")
-        and d.name not in {*pressim.__all__, *PAPER_FORMULAS}
+        and d.name not in pressim.__all__
         and not any(d.name in names for s, names in uses.items() if s is not d)
     ]
     assert unused == []
@@ -86,6 +81,29 @@ def test_hot_paths_read_no_queue_or_credit_dict():
 def _sim_functions() -> list[ast.FunctionDef]:
     return [n for n in ast.walk(ast.parse((SRC / "sim.py").read_text()))
             if isinstance(n, ast.FunctionDef)]
+
+
+# The step phases reach each vehicle through the queue or transit deque that
+# holds its record. The vehicle table is for the reports and the digest: a
+# spawn stores each new vehicle in it, and no step phase reads it.
+TABLE_FREE_PHASES = {"_advance_transit", "_poll", "_discharge"}
+
+
+def test_step_phases_read_no_vehicle_table():
+    phases = {f.name: f for f in _sim_functions() if f.name in {*TABLE_FREE_PHASES, "_spawn"}}
+    assert set(phases) == {*TABLE_FREE_PHASES, "_spawn"}
+
+    def uses(fn: ast.FunctionDef) -> list[ast.Attribute]:
+        return [n for n in ast.walk(fn) if isinstance(n, ast.Attribute) and n.attr == "vehicles"]
+
+    offending = [f"{name}:{n.lineno} reads .vehicles"
+                 for name in sorted(TABLE_FREE_PHASES) for n in uses(phases[name])]
+    assert offending == []
+    stores = [n.value for n in ast.walk(phases["_spawn"])
+              if isinstance(n, ast.Subscript) and isinstance(n.ctx, ast.Store)
+              and isinstance(n.value, ast.Attribute) and n.value.attr == "vehicles"]
+    assert len(stores) == 1
+    assert uses(phases["_spawn"]) == stores  # AST nodes compare by identity
 
 
 def test_one_tick_loop_body():

@@ -14,20 +14,20 @@ from pressim.pressure import (
     LaneStats,
     RewardKind,
     StateKind,
-    efficient_pressure,
     extract_state,
     lane_stats,
-    movement_pressure,
-    phase_pressure,
     reward,
 )
 from pressim.sim import ConfigurationError, SimConfig, SimState, Simulation, Vehicle
 from reference import (
     downstream_queue,
+    efficient_pressure,
     etm_efficient_pressure,
     intersection_pressure,
     movement_index,
+    movement_pressure,
     phase_efficient_pressure,
+    phase_pressure,
     pressure_report,
     signalized_movements,
 )
@@ -38,8 +38,8 @@ def make_state(net: RoadNetwork, queues: dict[str, int] | None = None) -> SimSta
     vid = 0
     for lane, n in (queues or {}).items():
         for _ in range(n):
-            st.queues[lane].append(vid)
-            st.vehicles[vid] = Vehicle(id=vid, route=(), route_pos=0, entry_time=0.0)
+            st.vehicles[vid] = v = Vehicle(id=vid, route=(), route_pos=0, entry_time=0.0)
+            st.queues[lane].append(v)
             vid += 1
     return st
 
@@ -60,10 +60,10 @@ def add_transit(st: SimState, net: RoadNetwork, road_id: str, next_road: str) ->
         if (m.source_road, m.receiving_road) == (road_id, next_road)
     )
     lanes = tuple(map(list(net.lane_index).index, entering))  # positions, as in a plan
-    st.vehicles[vid] = Vehicle(
+    st.vehicles[vid] = v = Vehicle(
         id=vid, route=(road_id, next_road), route_pos=0, entry_time=0.0, plan=(lanes, None)
     )
-    st.transit[road_id].append((0, vid))
+    st.transit[road_id].append(v)
 
 
 def test_movement_pressure_examples():
@@ -221,8 +221,8 @@ def test_lane_stats_attribution():
 def test_lane_stats_terminal_road_attributes_nothing():
     net = build_grid(1, 1, 400.0, 400.0)
     stt = make_state(net)
-    stt.vehicles[0] = Vehicle(0, ("n0_0__boundary:S0",), 0, 0.0)
-    stt.transit["n0_0__boundary:S0"].append((0, 0))
+    stt.vehicles[0] = v = Vehicle(0, ("n0_0__boundary:S0",), 0, 0.0)
+    stt.transit["n0_0__boundary:S0"].append(v)
     for s in lane_stats(stt, net, "n0_0__boundary:S0"):
         assert s.vehicles == s.queue == 0
 

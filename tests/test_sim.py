@@ -125,7 +125,7 @@ def test_queue_is_fifo_in_spawn_order():
     sim = Simulation(net, flows, SimConfig(episode_length=100))
     sim.run({})  # phase 0 holds: west-through stays red and queues
     lane = next(l for l, q in sim.state.queues.items() if q)
-    ids = list(sim.state.queues[lane])
+    ids = [v.id for v in sim.state.queues[lane]]
     assert ids == sorted(ids)
 
 
@@ -574,12 +574,12 @@ def test_time_stays_on_the_tick_grid(tick, starts, headways, whole_ticks, length
         assert released == releases[n - 1], n
         for road, dq in transit.items():
             mirror = seen[road]
-            while mirror and (not dq or mirror[0][0] != dq[0][1]):
+            while mirror and (not dq or mirror[0][0] != dq[0].id):
                 _, entered = mirror.popleft()  # reached the stop line on tick n
                 assert n - entered == hop[road], (road, n)
                 arrivals += 1
-            for _, vid in itertools.islice(dq, len(mirror), None):
-                mirror.append((vid, n))
+            for v in itertools.islice(dq, len(mirror), None):
+                mirror.append((v.id, n))
     assert sim.state.counters.blocked == 0
     assert arrivals > 1000
 
@@ -610,11 +610,11 @@ def test_transit_pass_leaves_no_due_head_that_could_move(tick, length, seed):
         for road, dq in state.transit.items():
             if not dq:
                 continue
-            arrival = dq[0][0] * tick + net.road_index[road].travel_time
+            v = dq[0]
+            arrival = v.road_tick * tick + net.road_index[road].travel_time
             if arrival > state.clock + 1e-9:
                 continue
             assert not net.terminal(road), road
-            v = state.vehicles[dq[0][1]]
             assert min(len(state.queues[lane_ids[k]]) for k in v.plan[v.route_pos]) >= 3, road
 
     sim._advance_transit = checked_transit
@@ -839,23 +839,21 @@ def test_sleepers_wait_on_their_receiving_road():
     sleeps = holds = 0
     for _ in range(600):
         sim.step(controllers)
-        vehicles = sim.state.vehicles
         for ii, (_, _, _, moves) in enumerate(sim._junctions):
             for mv in moves:
                 if sim._live[ii] & mv.bit:
                     continue
                 for q in filter(None, mv.lanes):
-                    v = vehicles[q[0]]
+                    v = q[0]
                     if v.route[v.route_pos + 1] == mv.road.id:
                         sleeps += 1
                         assert (ii, mv.bit) in mv.road.waiting
         for road in sim._roads.values():
             if road.held:
                 holds += 1
-                entered, vid = road.transit[0]
-                arrival = entered + net.road_index[road.id].travel_time  # at 1 s a tick
+                v = road.transit[0]
+                arrival = v.road_tick + net.road_index[road.id].travel_time  # at 1 s a tick
                 assert arrival <= sim.state.clock + 1e-9
-                v = vehicles[vid]
                 lanes = v.plan[v.route_pos]
                 assert all(len(sim.state.queues[lane_ids[k]]) >= road.capacity for k in lanes)
     assert sleeps > 0 and holds > 0
