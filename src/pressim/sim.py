@@ -35,13 +35,16 @@ over these tables, never over a dict keyed by a lane, road or movement id:
   stop-line lanes that the movement onto the vehicle's next road enters
   (``None`` on the last road, which drains to a boundary). Every vehicle
   points at its flow's plan;
-- per intersection, the movements each phase serves and those a
-  transition serves (the right turns), in movement order, because that
-  order decides which movement wins a contested downstream lane. Each
-  movement's record holds the queues of its entering lanes and its
-  service credit, an int count of 1 / ``_full`` vehicle: a served tick
-  adds ``_gain``, where ``_gain / _full`` is ``tick / saturation_headway``
-  made exact once, and a serve needs and takes ``_full``;
+- one record per intersection (``_Junction``), by id in network order:
+  its signal state, the movements each phase serves and those a
+  transition serves (the right turns), its movements in movement order,
+  because that order decides which movement wins a contested downstream
+  lane, and the ticks of green due a decision under the controllers
+  mapping last stepped with. Each movement's record holds the queues of
+  its entering lanes and its service credit, an int count of 1 /
+  ``_full`` vehicle: a served tick adds ``_gain``, where ``_gain / _full``
+  is ``tick / saturation_headway`` made exact once, and a serve needs and
+  takes ``_full``;
 - one record per road (``_Road``): whether it drains to a boundary, the
   capacity of its stop-line lanes, its hop (the fewest whole ticks whose
   total length reaches its travel time less 1e-9 s), the position of the
@@ -62,20 +65,22 @@ vehicle ids follow it (``FlowSpec``).
 The tick loop visits only what can change on the tick:
 
 - each intersection keeps an int bitmask of live movements, bit k for the
-  k-th movement of its lane table entry. Discharge visits the live
-  movements the running phase (or transition) serves, lowest bit first,
-  which is movement order, with a mask's bit positions from one memo for
-  every ``Simulation``. A visit that finds the service credit full puts
-  a movement to sleep when a further visit could change nothing: when its
-  entering lanes are empty, until a vehicle joins an empty one; or, if it
-  is solo (no other movement enters its lanes), when no head can go, until
-  a vehicle joins an empty lane or pops from a stop-line lane of its
-  receiving road. It then waits on that road's wait list, which a pop from
-  any of the road's stop-line lanes wakes. A vehicle joining an empty lane
-  wakes every movement its road's lanes enter. Both wake more than can
-  move; a woken movement that still cannot move sleeps again, changing
-  nothing. A movement sharing a lane stays awake, since a co-movement's
-  pop changes its heads partway through the pass;
+  k-th movement of its lane table entry, in one list by intersection
+  position, apart from the junction records (``_Junction`` says why).
+  Discharge visits the live movements the running phase (or transition)
+  serves, lowest bit first, which is movement order, with a mask's bit
+  positions from one memo for every ``Simulation``. A visit that finds the
+  service credit full puts a movement to sleep when a further visit could
+  change nothing: when its entering lanes are empty, until a vehicle joins
+  an empty one; or, if it is solo (no other movement enters its lanes),
+  when no head can go, until a vehicle joins an empty lane or pops from a
+  stop-line lane of its receiving road. It then waits on that road's wait
+  list, which a pop from any of the road's stop-line lanes wakes. A
+  vehicle joining an empty lane wakes every movement its road's lanes
+  enter. Both wake more than can move; a woken movement that still cannot
+  move sleeps again, changing nothing. A movement sharing a lane stays
+  awake, since a co-movement's pop changes its heads partway through the
+  pass;
 - a calendar maps a tick index to the road records whose head vehicle
   reaches the stop line on that tick: the head's entry tick plus the road's
   hop, and at least the next tick for a vehicle that a discharge puts on
@@ -88,18 +93,20 @@ The tick loop visits only what can change on the tick:
   flow keeps a cursor, the index k of its next release, and books that
   release's tick after releasing;
 - the signals are the exception, walked on every tick as discharge walks
-  every intersection: first to end each transition whose end is the tick,
-  then, in intersection order, to decide wherever a green has run
-  ``t_duration``. The walks stay apart so that every switch of a tick
-  lands before any controller observes. Each ``controllers`` object has
-  its controllers' ``t_duration`` turned into ticks of green once.
+  every junction record: first, through the state's signal table, to end
+  each transition whose end is the tick; then, in intersection order, over
+  the records whose controller has a finite ``t_duration``, to decide
+  wherever a green has run it. The walks stay apart so that every switch
+  of a tick lands before any controller observes. Each ``controllers``
+  object has its controllers' ``t_duration`` turned into ticks of green
+  once.
 
 Besides two integer counters (the tick index and the next vehicle id), the
 dynamic state lives in ``state``, in the movement credits and in the flows'
 release cursors. ``SimState.for_network`` builds the state's queues
 together with the lane sets the pressure functions read (``reads``), as
-references to those queues. The tables above, the road records with their
-wait lists, the live masks and the calendars are built once, in
+references to those queues. The tables above, the road and junction
+records, the live masks and the calendars are built once, in
 ``__init__``, around the state's own deques, and the tick loop updates
 them with the state. Only what the tick loop reads is kept: a vehicle's
 status (finished, queued or in transit), a green's age and a transition's
@@ -317,7 +324,9 @@ class _Road:
     capacity: int  # of each stop-line lane
     hop: int  # ticks from entering the road to reaching its stop line
     transit: Deque[Vehicle]
-    junction: int  # position of the intersection it enters; -1 for a sink
+    # position of the intersection it enters, set by the movements there
+    # that its lanes enter; -1 for a sink
+    junction: int = -1
     feeds: int = 0  # mask of the movements there that its lanes enter
     # what a pop from any of its stop-line lanes wakes: (intersection
     # position, bit) of each solo movement asleep with this as its
@@ -339,6 +348,24 @@ class _Move:
     road: _Road
     solo: bool  # no other movement enters its lanes
     credit: int = 0  # service credit, in units of 1 / Simulation._full vehicle
+
+
+@dataclass(slots=True, eq=False)
+class _Junction:
+    """An intersection of one ``Simulation``: ``signal`` is its state's
+    signal state, and ``moves`` its movements in movement order, bit k the
+    k-th of its lane table entry. Its live mask stays in
+    ``Simulation._live``, and roads and wait lists name it by position: a
+    record they held would close the cycle road -> junction -> movement ->
+    road, and a finished ``Simulation`` would then wait in memory for the
+    cyclic collector."""
+
+    id: str
+    signal: SignalState
+    by_phase: tuple[int, ...]  # per phase, the mask of the movements it serves
+    in_transition: int  # the mask of the movements a transition serves
+    moves: tuple[_Move, ...]
+    green: int = 0  # ticks of green due a decision under the current mapping
 
 
 @dataclass(slots=True, eq=False)
@@ -372,11 +399,6 @@ class Simulation:
             raise ConfigurationError("; ".join(problems))
 
         tick, cap = config.tick, config.lane_capacity
-        self._intersection_ids = ids = [i.id for i in net.intersections]
-        # per intersection id: its position and its phase count
-        self._intersections = {
-            i.id: (ii, len(i.phases)) for ii, i in enumerate(net.intersections)
-        }
         self._episode_ticks = _ticks_to(config.episode_length, tick)
         # a transition's ticks of yellow and all-red: it ends on the first
         # tick at or after yellow + all_red from its start
@@ -393,13 +415,12 @@ class Simulation:
         self._ticks = 0
         self._next_vehicle_id = 0
 
-        junction = {iid: ii for ii, iid in enumerate(ids)}
         # per road id, in network order: its record
         self._roads = roads = {
             r.id: _Road(
                 r.id, net.terminal(r.id),
                 cap if cap is not None else max(1, math.floor(r.length_m / 7.5)),
-                _ticks_to(r.travel_time, tick), st.transit[r.id], junction.get(r.dst, -1),
+                _ticks_to(r.travel_time, tick), st.transit[r.id],
             )
             for r in net.roads
         }
@@ -416,11 +437,9 @@ class Simulation:
             for f in self.flows
         }
         self._flows = [_Flow(f, roads[f.route[0]], self._plans[f.route]) for f in self.flows]
-        # per intersection: its signal state, the mask of movements each phase
-        # serves, the mask of those a transition serves, and its movements in
-        # movement order, bit k the k-th of its lane table entry
-        self._junctions = []
-        for inter in net.intersections:
+        # per intersection id, in network order: its record
+        self._junctions: dict[str, _Junction] = {}
+        for ii, inter in enumerate(net.intersections):
             movements = table[inter.id].movements
             entered = Counter(l for m in movements for l in m.entering)
             moves = []
@@ -430,23 +449,24 @@ class Simulation:
                     roads[m.source_road], roads[m.receiving_road],
                     all(entered[l] == 1 for l in m.entering),
                 )
+                mv.source.junction = ii
                 mv.source.feeds |= mv.bit
                 moves.append(mv)
+            # a phase serves what a transition serves and its own movements
+            in_transition = sum(1 << k for k, m in enumerate(movements) if not m.signalized)
             by_phase = tuple(
-                sum(1 << k for k, m in enumerate(movements)
-                    if not m.signalized or m.id in p.movements)
+                in_transition | sum(1 << k for k, m in enumerate(movements) if m.id in p.movements)
                 for p in inter.phases
             )
-            in_transition = sum(1 << k for k, m in enumerate(movements) if not m.signalized)
-            self._junctions.append((st.signals[inter.id], by_phase, in_transition, tuple(moves)))
-        # per intersection the mask of its live movements: at first, all
-        self._live = [(1 << len(moves)) - 1 for *_, moves in self._junctions]
-        self._signals = [st.signals[iid] for iid in ids]
-        self._mapping: Optional[Mapping[str, Controller]] = None  # _green's mapping
-        # under the mapping, in intersection order, (id, signal, ticks of
-        # green due a decision) of each intersection whose controller has a
-        # finite t_duration
-        self._green: list[tuple[str, SignalState, int]] = []
+            self._junctions[inter.id] = _Junction(
+                inter.id, st.signals[inter.id], by_phase, in_transition, tuple(moves)
+            )
+        # per intersection position the mask of its live movements: at first, all
+        self._live = [(1 << len(j.moves)) - 1 for j in self._junctions.values()]
+        self._mapping: Optional[Mapping[str, Controller]] = None  # _polled's mapping
+        # under the mapping, in intersection order, the records whose
+        # controller has a finite t_duration, each with its ticks of green
+        self._polled: list[_Junction] = []
         # tick -> the roads its transit pass visits; the next pass is tick
         # n + 1's, and books each road visited again on its head's due tick
         self._calendar: defaultdict[int, list[_Road]] = defaultdict(list)
@@ -488,7 +508,7 @@ class Simulation:
 
     def _advance_signals(self) -> None:
         n = self._ticks
-        for sig in self._signals:  # green again where a transition ends
+        for sig in self.state.signals.values():  # green again where a transition ends
             tr = sig.transition
             if tr is not None and tr.ends == n:
                 sig.active = tr.next_phase
@@ -506,14 +526,14 @@ class Simulation:
                 f"{intersection}: phase {phase!r} is not an integer"
             ) from None
         try:
-            i, n_phases = self._intersections[intersection]
+            j = self._junctions[intersection]
         except KeyError:
             raise ConfigurationError(f"unknown intersection {intersection!r}") from None
-        if not 0 <= phase < n_phases:
+        if not 0 <= phase < len(j.by_phase):
             raise ConfigurationError(
-                f"{intersection}: phase {phase} out of range 0..{n_phases - 1}"
+                f"{intersection}: phase {phase} out of range 0..{len(j.by_phase) - 1}"
             )
-        sig = self._signals[i]
+        sig = j.signal
         if sig.transition is not None:
             return
         if phase == sig.active or not self._transition:  # green anew at once
@@ -612,19 +632,21 @@ class Simulation:
         n = self._ticks
         if controllers is not self._mapping:
             self._mapping, tick = controllers, self.config.tick
-            self._green = [
-                (iid, sig, _ticks_to(ctrl.t_duration, tick))
-                for iid, sig in zip(self._intersection_ids, self._signals)
-                if (ctrl := controllers.get(iid)) is not None and ctrl.t_duration != math.inf
-            ]
+            self._polled = []
+            for j in self._junctions.values():
+                ctrl = controllers.get(j.id)
+                if ctrl is not None and ctrl.t_duration != math.inf:
+                    j.green = _ticks_to(ctrl.t_duration, tick)
+                    self._polled.append(j)
         st, net = self.state, self.net
-        for iid, sig, green in self._green:
-            if n - sig.since < green or sig.transition is not None:
+        for j in self._polled:
+            sig = j.signal
+            if n - sig.since < j.green or sig.transition is not None:
                 continue
-            ctrl = controllers[iid]
-            action = ctrl.decide(ctrl.observe(st, net, iid), iid)
+            ctrl = controllers[j.id]
+            action = ctrl.decide(ctrl.observe(st, net, j.id), j.id)
             st.counters.decisions += 1
-            self.set_phase(iid, action)
+            self.set_phase(j.id, action)
 
     # -- discharge ----------------------------------------------------------
 
@@ -633,13 +655,15 @@ class Simulation:
         live, calendar, n = self._live, self._calendar, self._ticks
         positions = _POSITIONS
         gain, full = self._gain, self._full
-        for ii, (sig, by_phase, in_transition, moves) in enumerate(self._junctions):
-            bits = live[ii] & (by_phase[sig.active] if sig.transition is None else in_transition)
+        for ii, j in enumerate(self._junctions.values()):
+            sig = j.signal
+            bits = live[ii] & (j.by_phase[sig.active] if sig.transition is None else j.in_transition)
             if not bits:
                 continue
             ks = positions.get(bits)
             if ks is None:
                 ks = positions[bits] = _bit_positions(bits)
+            moves = j.moves
             for k in ks:  # lowest bit first: movement order
                 mv = moves[k]
                 c = mv.credit + gain
@@ -746,7 +770,7 @@ class Simulation:
             "signals": {i: signal(s) for i, s in sorted(st.signals.items())},
             "credit": dict(sorted(
                 (mv.id, round(mv.credit / self._full, 9))
-                for *_, moves in self._junctions for mv in moves
+                for j in self._junctions.values() for mv in j.moves
             )),
             "vehicles": [
                 [v.id, v.route_pos,

@@ -31,6 +31,7 @@ from pressim.sim import (
     ConfigurationError,
     SimState,
     Simulation,
+    Vehicle,
 )
 
 
@@ -63,6 +64,18 @@ def efficient_pressure(entering: Sequence[float], exiting: Sequence[float]) -> f
 
 
 # -- reading queues from a state snapshot -----------------------------------
+
+
+def queue_vehicles(state: SimState, net: RoadNetwork, lane_id: str, n: int) -> None:
+    """Queue ``n`` more vehicles on ``lane_id`` in ``state`` as ``Vehicle``
+    records, which the engine's queues hold, not ids: each is numbered on
+    from the state's vehicle table and stored there, and stands on the
+    lane's road as the one road of its route."""
+    road = net.lane_index[lane_id][0].id
+    queue, vehicles = state.queues[lane_id], state.vehicles
+    for vid in range(len(vehicles), len(vehicles) + n):
+        vehicles[vid] = v = Vehicle(vid, (road,), 0, 0.0)
+        queue.append(v)
 
 
 def downstream_queue(state: SimState, net: RoadNetwork, lane_id: str) -> int:
@@ -169,15 +182,17 @@ def efficient_mp_decide(report: PressureReport, phases: Sequence[Phase]) -> int:
 
 class ScanSimulation(Simulation):
     """The engine with its decision rule read from each controller in
-    seconds, on every decision: every tick, every intersection with a
-    controller is checked, through the state's signal dict, and a green is
-    due once its ticks, in seconds, reach ``t_duration`` less 1e-9 s. The
-    engine turns each mapping's ``t_duration`` values into ticks once."""
+    seconds, on every decision: every tick, every intersection of the
+    network with a controller is checked, in network order, through the
+    state's signal dict, and a green is due once its ticks, in seconds,
+    reach ``t_duration`` less 1e-9 s. The engine turns each mapping's
+    ``t_duration`` values into ticks once."""
 
     def _poll(self, controllers) -> None:
         st, tick = self.state, self.config.tick
         signals, net = st.signals, self.net
-        for iid in self._intersection_ids:
+        for inter in net.intersections:
+            iid = inter.id
             ctrl = controllers.get(iid)
             if ctrl is None:
                 continue
@@ -229,9 +244,10 @@ class AwakeSimulation(Simulation):
     def _discharge(self) -> None:
         st = self.state
         live, n = self._live, self._ticks
-        for ii, (sig, by_phase, in_transition, moves) in enumerate(self._junctions):
-            served = by_phase[sig.active] if sig.transition is None else in_transition
-            for mv in moves:
+        for ii, j in enumerate(self._junctions.values()):
+            sig = j.signal
+            served = j.by_phase[sig.active] if sig.transition is None else j.in_transition
+            for mv in j.moves:
                 if not live[ii] & served & mv.bit:
                     continue
                 c = mv.credit + self._gain

@@ -35,7 +35,13 @@ from pressim.rl import (
     train,
 )
 from pressim.sim import SimConfig, Simulation
-from reference import efficient_pressure, gradient_check, movement_pressure, phase_pressure
+from reference import (
+    efficient_pressure,
+    gradient_check,
+    movement_pressure,
+    phase_pressure,
+    queue_vehicles,
+)
 
 
 def _verdict(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -125,9 +131,9 @@ def test_02_singleton_equivalence():
     mp, emp = PressureController(), PressureController(efficient=True)
     agree = total = 0
     for _ in range(200):
-        for q in sim.state.queues.values():
+        for l, q in sim.state.queues.items():
             q.clear()
-            q.extend(range(int(rng.integers(0, 13))))
+            queue_vehicles(sim.state, net, l, int(rng.integers(0, 13)))
         for inter in net.intersections:
             ps = phase_scores(sim.state, net, inter.id)
             eps = phase_scores(sim.state, net, inter.id, efficient=True)

@@ -15,7 +15,13 @@ from pressim.control import (
 )
 from pressim.network import Phase, build_grid
 from pressim.sim import ConfigurationError, FlowSpec, SimConfig, SimState, Simulation
-from reference import PressureReport, efficient_mp_decide, mp_decide, pressure_report
+from reference import (
+    PressureReport,
+    efficient_mp_decide,
+    mp_decide,
+    pressure_report,
+    queue_vehicles,
+)
 
 
 def phases(n: int) -> tuple[Phase, ...]:
@@ -93,7 +99,7 @@ def test_decisions_invariant_to_uniform_queue_scaling(data, scale):
     def state_for(mult: int) -> SimState:
         stt = SimState.for_network(net)
         for l, c in zip(lanes, counts):
-            stt.queues[l].extend(range(c * mult))
+            queue_vehicles(stt, net, l, c * mult)
         return stt
 
     for iid in ("n0_0", "n0_1"):
@@ -128,7 +134,7 @@ def test_mp_and_emp_identical_on_single_lane_network():
     for _ in range(100):
         stt = SimState.for_network(net)
         for l in lanes:
-            stt.queues[l].extend(range(random.randint(0, 8)))
+            queue_vehicles(stt, net, l, random.randint(0, 8))
         for inter in net.intersections:
             r = pressure_report(stt, net, inter.id)
             assert mp_decide(r, inter.phases) == efficient_mp_decide(r, inter.phases)

@@ -32,6 +32,7 @@ from reference import (
     intersection_pressure,
     movement_queue_pressure,
     pressure_report,
+    queue_vehicles,
     signalized_movements,
 )
 
@@ -68,7 +69,7 @@ _GRIDS["loaded", PhaseScheme.FOUR] = _loaded_grid()
 def _state(net, counts) -> SimState:
     state = SimState.for_network(net)
     for l, n in zip(sorted(net.lane_index), counts):
-        state.queues[l].extend(range(n))
+        queue_vehicles(state, net, l, n)
     return state
 
 

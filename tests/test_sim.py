@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import itertools
 import random
 from collections import deque
@@ -784,7 +785,7 @@ def test_service_credit_is_an_exact_count():
     flows = generate_synthetic_demand(net, Asymmetric(0.12, 0.06), 1, 900.0)
     sim = Simulation(net, flows, SimConfig(tick=0.7, saturation_headway=2.0, episode_length=900.0))
     sim.run(make_controllers(net, "fixedtime"))
-    credits = {mv.id: mv.credit for *_, moves in sim._junctions for mv in moves}
+    credits = {mv.id: mv.credit for j in sim._junctions.values() for mv in j.moves}
     assert [m for m, c in credits.items() if c < 0] == []
     assert (sim._gain, sim._full) == (7, 20)
     assert all(type(c) is int and c <= sim._full for c in credits.values())
@@ -800,7 +801,7 @@ def test_blocked_solo_movement_sleeps_until_its_downstream_lane_pops():
     sim = Simulation(net, [FlowSpec(route, 1.0, 600.0, 2.0)], SimConfig(episode_length=600.0))
     sim.set_phase("n0_0", 1)  # east-west through; n0_1 keeps north-south
     bit = 1 << [m.id for m in net.lane_table["n0_0"].movements].index("n0_0:WT")
-    through = next(mv for mv in sim._junctions[0][3] if mv.id == "n0_0:WT")
+    through = next(mv for mv in sim._junctions["n0_0"].moves if mv.id == "n0_0:WT")
     entering = sim.state.queues["boundary:W0__n0_0#1"]
     downstream = sim.state.queues["n0_0__n0_1#1"]
     for _ in range(300):
@@ -839,8 +840,8 @@ def test_sleepers_wait_on_their_receiving_road():
     sleeps = holds = 0
     for _ in range(600):
         sim.step(controllers)
-        for ii, (_, _, _, moves) in enumerate(sim._junctions):
-            for mv in moves:
+        for ii, j in enumerate(sim._junctions.values()):
+            for mv in j.moves:
                 if sim._live[ii] & mv.bit:
                     continue
                 for q in filter(None, mv.lanes):
@@ -857,4 +858,23 @@ def test_sleepers_wait_on_their_receiving_road():
                 lanes = v.plan[v.route_pos]
                 assert all(len(sim.state.queues[lane_ids[k]]) >= road.capacity for k in lanes)
     assert sleeps > 0 and holds > 0
+
+
+def test_a_finished_simulation_leaves_no_cyclic_garbage():
+    """Nothing a Simulation builds refers back along a cycle, so dropping a
+    finished one frees it by reference counting alone and the cyclic
+    collector finds nothing. A junction record held by its roads or wait
+    lists would close road -> junction -> movement -> road, and every
+    episode's tables would then wait for a collection."""
+    net = build_grid(2, 2, 300.0, 300.0)
+    flows = generate_synthetic_demand(net, Asymmetric(0.2, 0.1), 0, 600.0)
+    gc.collect()
+    gc.disable()
+    try:
+        sim = Simulation(net, flows, SimConfig(episode_length=600.0))
+        sim.run(make_controllers(net, "efficient-mp"))
+        del sim
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
